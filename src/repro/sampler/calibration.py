@@ -6,8 +6,8 @@ batch correctly when they share a backend and width, but it knows
 nothing about absolute speed — and its cross-width/cross-backend ratios
 are systematically wrong (a state-vector op costs ``2^n`` work, a
 tableau op ``n^2``; the model charges both ``n``).  Every process also
-used to start **cold**: the first-task timing probe re-measured
-``seconds_per_cost`` from scratch on every run.
+used to start **cold**: ``seconds_per_cost`` was re-measured from
+scratch on every run.
 
 This module closes that loop across processes:
 

@@ -11,40 +11,32 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   scheme), which makes its output bit-for-bit identical to a pooled run
   with the same chunk count — the executor-parity contract the test suite
   pins.
-* :class:`ProcessPoolExecutor` — the same chunk geometry fanned out over
-  a process pool.  The compiled plan (or, for point/batch scope, the
-  whole **program table** — every distinct compiled Program of a
-  heterogeneous batch), a packed snapshot of the initial state, and the
-  simulator configuration ship to each worker exactly once through the
-  pool *initializer*; each repetition-chunk task then carries only
-  ``(chunk_size, chunk_seed)`` — two integers — and each scheduled batch
-  task only ``(program_index, point_index, resolver, reps, chunk info,
-  base)``.  By default (``reuse_pool=True``) the pool itself is
-  **warm**: a :class:`~repro.sampler.service.PoolManager` keeps the
-  workers alive across ``execute``/``run_sweep``/``run_batch`` calls and
-  re-initializes them only when the execution key — compiled unit(s),
-  initial-state payload, simulator config, pool geometry — changes.
-  ``reuse_pool=False`` restores the PR-3 cold behavior (one pool per
-  call).
+* :class:`ProcessPoolExecutor` — independent seeded tasks fanned over a
+  warm process pool through **one pull-based dispatch path**.  Every
+  pooled call — a repetition-scope ``execute`` (one point split into
+  ``num_workers * chunks_per_worker`` chunks) or a sweep/batch
+  (``execute_batch_iter``; a sweep is a one-program batch) — becomes a
+  list of tasks, and that list is all that differs between calls and
+  schedulers.  The tasks go onto the pool's shared work queue and idle
+  workers pull the next one
+  (:meth:`~repro.sampler.service.PoolManager.pull`).  The compiled
+  unit table (the plan, or every distinct Program of a batch), a packed
+  snapshot of the initial state, and the simulator configuration ship
+  to each worker once, through the pool *initializer*; a task carries
+  only ``(unit_index, resolver, size, seed entropy, ctx)`` and, under
+  shared-memory transport, the result-plane slot it writes into.
+  ``reuse_pool=True`` (default) keeps the pool warm in a
+  :class:`~repro.sampler.service.PoolManager` across calls;
+  ``reuse_pool=False`` runs the same path on a scoped manager shut down
+  when the call ends.
 
-Point/batch scope: ``ProcessPoolExecutor.execute_sweep`` and
-``execute_batch`` fan whole sweep/batch points (not repetition chunks)
-across the warm pool through the configured scheduler
-(:mod:`repro.sampler.schedule`).  Under the default FIFO scheduler each
-point is one stream seeded from ``SeedSequence([seed, index])``, making
-pooled output bit-for-bit identical to a serial
-``run_sweep``/``run_batch``; an
-:class:`~repro.sampler.schedule.AdaptiveScheduler` reorders the queue
-largest-first and splits oversized points into deterministic repetition
-sub-chunks.  The base :class:`Executor` ``execute_sweep`` preserves each
-executor's own repetition geometry per point, which is what ``run_sweep``
-used before point scope existed.
-
-Chunk seeding is deterministic: with an integer simulator seed, chunk
-``i`` always receives ``SeedSequence([seed, i])`` regardless of pool
-geometry or scheduling, so identically-seeded runs reproduce bit-for-bit
-(and repeated ``run`` calls on one simulator return identical samples —
-the same contract as :func:`repro.sampler.parallel.sample_trajectories_parallel`).
+Seeding is deterministic and independent of placement: with an integer
+simulator seed, repetition chunk ``i`` always receives
+``SeedSequence([seed, i])`` and batch point ``p`` ``SeedSequence([seed,
+p])`` (chunk ``c`` of a split point ``SeedSequence([seed, p, c])``),
+whichever worker pulls it — so identically seeded runs reproduce
+bit-for-bit, serial or pooled (the same contract as
+:func:`repro.sampler.parallel.sample_trajectories_parallel`).
 
 Pooled execution requires picklable components: a module-level
 ``apply_op`` and ``compute_probability`` (the shipped ``act_on`` and
@@ -59,52 +51,37 @@ import abc
 import multiprocessing
 import os
 import pickle
-import queue as _queue
-import time
 from concurrent import futures as _cf
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .requests import normalize_repetitions
 from .result_planes import PointPlanes, shm_available
-from .schedule import BatchEntry, FifoScheduler, Scheduler, estimate_cost
+from .schedule import (
+    BatchEntry,
+    FifoScheduler,
+    ScheduledTask,
+    Scheduler,
+    estimate_cost,
+)
 from .service import (
     PoolManager,
     RunParts,
+    TaskTimeoutError,
     _WorkerPayload,
     _base_seed,
     _chunk_seeds,
     _chunk_seeds_from_base,
     _chunk_sizes,
     _dispatch,
-    _init_pool_worker,
     _merge_parts,
     _pool_context,
-    _run_pool_chunk,
-    _run_pool_chunk_shm,
-    _run_pool_task,
-    _run_pool_task_shm,
-    _steal_task_loop,
-    _task_rng,
-    _warm_worker,
+    _run_task,
+    _task_entropy,
     execution_key,
     shared_pool_manager,
 )
-
-
-class TaskTimeoutError(RuntimeError):
-    """No pool task completed within the executor's ``task_timeout``.
-
-    Raised by the pooled batch/sweep paths when the completion *gap* —
-    the time since the last task finished (or since submission) —
-    exceeds ``ProcessPoolExecutor(task_timeout=...)``.  A wedged worker
-    cannot be cancelled (``Future.cancel`` only stops not-yet-started
-    tasks), so before raising, the executor **poisons the pool**: worker
-    processes are killed, the pool is torn down, and every in-flight
-    shared-memory result plane is released.  The next pooled call
-    rebuilds a fresh pool.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -114,10 +91,10 @@ class TaskTimeoutError(RuntimeError):
 class Executor(abc.ABC):
     """Strategy object deciding where a compiled plan's repetitions run."""
 
-    #: Whether :meth:`execute_sweep` fans whole sweep points across
-    #: parallel workers (single stream per point).  Executors that leave
-    #: this False run sweeps point-by-point with their own repetition
-    #: geometry, exactly like ``run_sweep`` before point scope existed.
+    #: Whether the executor fans whole sweep/batch points across parallel
+    #: workers (``execute_batch_iter``, one seeded stream per point).
+    #: Executors that leave this False run sweeps and batches point by
+    #: point through :meth:`execute` with their own repetition geometry.
     supports_point_scope = False
 
     @abc.abstractmethod
@@ -137,91 +114,6 @@ class Executor(abc.ABC):
         ``rep_base`` per repetition chunk so batched output never
         depends on chunk geometry.  Serial mode ignores it.
         """
-
-    def execute_sweep_iter(
-        self, simulator, program, resolvers, repetitions: int
-    ) -> Iterator[RunParts]:
-        """Lazily yield one ``(records, bits)`` per resolver, in order.
-
-        Default: specialize and :meth:`execute` each point with this
-        executor's own repetition geometry, point ``i`` seeded from
-        ``SeedSequence([seed, i])`` — identical to the pre-point-scope
-        ``run_sweep`` loop, but one point at a time, so a consumer sees
-        point 0 before point 1 has run.
-        """
-        base = _base_seed(simulator.seed)
-        resolvers = list(resolvers)
-
-        def stream():
-            for index, resolver in enumerate(resolvers):
-                plan = program.specialize(resolver)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([base, index])
-                )
-                yield self.execute(
-                    simulator, plan, repetitions, rng=rng,
-                    ctx=(base, index, 0),
-                )
-
-        return stream()
-
-    def execute_sweep(
-        self, simulator, program, resolvers, repetitions: int
-    ) -> List[RunParts]:
-        """One ``(records, bits)`` per resolver of a parameter sweep.
-
-        ``list(...)`` over :meth:`execute_sweep_iter` — same geometry,
-        same seeds, collected eagerly.
-        """
-        return list(
-            self.execute_sweep_iter(simulator, program, resolvers, repetitions)
-        )
-
-    def execute_batch_iter(
-        self,
-        simulator,
-        programs: Sequence,
-        resolvers: Sequence,
-        repetitions: int,
-    ) -> Iterator[RunParts]:
-        """Lazily yield one ``(records, bits)`` per batch entry, in order.
-
-        Default: specialize and :meth:`execute` each entry with this
-        executor's own repetition geometry, entry ``i`` seeded from
-        ``SeedSequence([seed, i])`` — identical to the serial
-        ``run_batch`` loop, streamed one entry at a time.
-        """
-        base = _base_seed(simulator.seed)
-        pairs = list(zip(programs, resolvers))
-
-        def stream():
-            for index, (program, resolver) in enumerate(pairs):
-                plan = program.specialize(resolver)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([base, index])
-                )
-                yield self.execute(
-                    simulator, plan, repetitions, rng=rng,
-                    ctx=(base, index, 0),
-                )
-
-        return stream()
-
-    def execute_batch(
-        self,
-        simulator,
-        programs: Sequence,
-        resolvers: Sequence,
-        repetitions: int,
-    ) -> List[RunParts]:
-        """One ``(records, bits)`` per (program, resolver) batch entry.
-
-        ``list(...)`` over :meth:`execute_batch_iter` — same geometry,
-        same seeds, collected eagerly.
-        """
-        return list(
-            self.execute_batch_iter(simulator, programs, resolvers, repetitions)
-        )
 
 
 class SerialExecutor(Executor):
@@ -249,36 +141,50 @@ class SerialExecutor(Executor):
                 rng if rng is not None else simulator._rng,
                 ctx,
             )
-        sizes = _chunk_sizes(repetitions, self.chunks)
-        base = _base_seed(simulator.seed if rng is None else rng)
-        seeds = _chunk_seeds_from_base(base, len(sizes))
-        if ctx is None:
-            ctx = (base, 0, 0)
-        parts, offset = [], 0
-        for size, seed in zip(sizes, seeds):
-            parts.append(
-                _dispatch(
-                    simulator,
-                    plan,
-                    size,
-                    np.random.default_rng(seed),
-                    (ctx[0], ctx[1], ctx[2] + offset),
-                )
-            )
-            offset += size
-        return _merge_parts(parts)
+        argses = _chunk_task_args(
+            simulator, repetitions, self.chunks, rng, ctx
+        )
+        return _merge_parts(
+            [_run_task(simulator, (plan,), *args) for args in argses]
+        )
+
+
+def _chunk_task_args(simulator, repetitions, num_chunks, rng, ctx) -> List:
+    """The :func:`~repro.sampler.service._run_task` args of a
+    repetition-scope run split into ``num_chunks`` seeded chunks.
+
+    Chunk ``i`` runs off the integer seed ``SeedSequence([base, i])``
+    (:func:`~repro.sampler.service._chunk_seeds`), ``base`` drawn from
+    ``rng`` or the simulator seed.  Each chunk's batched-engine anchor
+    offsets ``rep_base`` by the chunk's global starting row, so batched
+    output is a pure function of (base, point, global repetition index) —
+    invariant under worker count and chunk geometry.  Both executors
+    build their chunks here, which is what makes a pooled run and
+    ``SerialExecutor`` with the same chunk count bit-for-bit equal.
+    """
+    sizes = _chunk_sizes(repetitions, num_chunks)
+    base = _base_seed(simulator.seed if rng is None else rng)
+    seeds = _chunk_seeds_from_base(base, len(sizes))
+    if ctx is None:
+        ctx = (base, 0, 0)
+    argses, offset = [], 0
+    for size, seed in zip(sizes, seeds):
+        argses.append((0, None, size, seed, (ctx[0], ctx[1], ctx[2] + offset)))
+        offset += size
+    return argses
 
 
 # ----------------------------------------------------------------------
-# pooled execution with one-time worker initialization and warm reuse
+# pooled execution: one pull-based path, warm or scoped pool
 # ----------------------------------------------------------------------
 
 class ProcessPoolExecutor(Executor):
-    """Fan repetition chunks or whole sweep points over a process pool.
+    """Fan repetition chunks or whole sweep/batch points over a pool.
 
     Args:
         num_workers: Pool size; defaults to ``os.cpu_count()``.
-        chunks_per_worker: >1 gives smaller tasks (better load balance).
+        chunks_per_worker: >1 gives smaller repetition-scope tasks
+            (better load balance).
         start_method: ``"fork"``, ``"forkserver"``, or ``"spawn"``.  An
             *explicitly requested* method the platform does not provide
             raises at pool construction (no silent substitution; see
@@ -286,60 +192,60 @@ class ProcessPoolExecutor(Executor):
             sentinel ``"auto"`` resolves to ``forkserver`` where
             available and the platform default elsewhere (Windows has
             only ``spawn``), so default-configured executors work on
-            every platform.  With ``fork`` the shared plan and packed
-            state are inherited copy-on-write; with
+            every platform.  With ``fork`` the shared unit table and
+            packed state are inherited copy-on-write; with
             ``forkserver``/``spawn`` they are pickled once per worker by
             the initializer.
         reuse_pool: True (default) keeps the pool **warm** through a
             :class:`~repro.sampler.service.PoolManager`: consecutive
-            calls with an unchanged execution key submit straight to the
-            already-initialized workers.  False rebuilds a pool per call
-            (the PR-3 cold behavior) — same output, more startup cost.
+            calls with an unchanged execution key dispatch straight to
+            the already-initialized workers.  False runs each call on a
+            scoped manager that is shut down when the call ends — same
+            path, same output, more startup cost.
         pool_manager: The manager owning the warm pool.  None (default)
             uses the process-wide shared manager; pass a dedicated
             :class:`~repro.sampler.service.PoolManager` for scoped
             lifetimes or isolated init counters.
-        scheduler: How batch/sweep points map to pool tasks.  None
-            (default) is FIFO — one task per point, submission order,
-            bit-for-bit identical to the serial path.  Pass an
-            :class:`~repro.sampler.schedule.AdaptiveScheduler` to order
-            tasks largest-first by the static cost model and split
+        scheduler: The task list of a batch/sweep.  None (default) is
+            FIFO — one task per point in point order, bit-for-bit
+            identical to the serial path.  An
+            :class:`~repro.sampler.schedule.AdaptiveScheduler` orders
+            tasks largest-first by the static cost model and splits
             oversized points into repetition sub-chunks (seeds
             ``SeedSequence([seed, point, chunk])``, merged in chunk
-            order) so mixed-depth batches keep every worker busy.  A
+            order); a
             :class:`~repro.sampler.schedule.WorkStealingScheduler`
-            additionally dispatches those tasks through the pool's
-            shared work queue: idle workers *pull* the next chunk at
-            runtime, absorbing cost-model error and stragglers, while
-            the task list itself (geometry + seeds, and therefore the
-            output) is exactly what the scheduler produced.
+            additionally pre-splits every point into fine chunks.
+            Placement is always dynamic — idle workers pull the next
+            task — and every task's measured duration feeds
+            :meth:`~repro.sampler.schedule.Scheduler.calibrate`; the
+            output is exactly what the task list fixes.
         task_timeout: Optional liveness bound (seconds) for pooled
-            batch/sweep execution: if no task completes for this long,
-            the executor assumes a wedged worker, kills the pool
-            (running tasks cannot be cancelled), releases all in-flight
-            result planes, and raises :class:`TaskTimeoutError`.  It is
-            a completion-*gap* bound, not a per-task or total bound —
-            set it above the longest expected single task.  ``None``
-            (default) waits indefinitely, the pre-timeout behavior.
+            execution: if no task completes for this long, the executor
+            assumes a wedged worker, kills the pool (running tasks
+            cannot be cancelled), releases all in-flight result planes,
+            and raises :class:`TaskTimeoutError`.  It is a
+            completion-*gap* bound, not a per-task or total bound — set
+            it above the longest expected single task.  ``None``
+            (default) waits indefinitely.
         result_transport: How worker results travel back to the parent.
             ``"shm"`` writes samples into pre-allocated
             :mod:`~repro.sampler.result_planes` shared-memory segments —
             each task returns only a row count, and the parent's results
             are read-only zero-copy views over the filled planes.
-            ``"pickle"`` is the documented fallback: each task returns
-            its ``(records, bits)`` tuple through the pool's result
-            queue, exactly the pre-plane behavior.  ``"auto"``
-            (default) resolves to ``"shm"`` where
+            ``"pickle"`` is the fallback: each task returns its
+            ``(records, bits)`` tuple through the pool's result queue.
+            ``"auto"`` (default) resolves to ``"shm"`` where
             ``multiprocessing.shared_memory`` works, else ``"pickle"``;
             requesting ``"shm"`` explicitly on a platform without it
             raises.  The two transports are bit-for-bit identical —
             only the number of bytes crossing the result queue changes.
 
-    The total chunk count is ``num_workers * chunks_per_worker``; given
-    the same simulator seed and total chunk count,
-    :class:`SerialExecutor` produces bit-for-bit identical output.  Warm
-    and cold pools are bit-for-bit identical too — reuse changes only
-    where the startup cost is paid.
+    The repetition-scope chunk count is ``num_workers *
+    chunks_per_worker``; given the same simulator seed and total chunk
+    count, :class:`SerialExecutor` produces bit-for-bit identical output.
+    Warm and scoped pools are bit-for-bit identical too — reuse changes
+    only where the startup cost is paid.
 
     Attributes:
         measure_result_bytes: When True, every parent↔worker result
@@ -409,94 +315,26 @@ class ProcessPoolExecutor(Executor):
             )
 
     def execute(self, simulator, plan, repetitions, rng=None, ctx=None):
+        """Repetition scope: one point, split into seeded chunks
+        (:func:`_chunk_task_args`, the geometry :class:`SerialExecutor`
+        reproduces in-process)."""
         normalize_repetitions(repetitions)
-        num_chunks = self.num_workers * self.chunks_per_worker
-        sizes = _chunk_sizes(repetitions, num_chunks)
-        base = _base_seed(simulator.seed if rng is None else rng)
-        seeds = _chunk_seeds_from_base(base, len(sizes))
-        if ctx is None:
-            ctx = (base, 0, 0)
-        # Each chunk's batched-engine anchor offsets rep_base by the
-        # chunk's global starting row, so batched output is a pure
-        # function of (base, point, global repetition index) — invariant
-        # under worker count and chunk geometry.
-        ctxs, offset = [], 0
-        for size in sizes:
-            ctxs.append((ctx[0], ctx[1], ctx[2] + offset))
-            offset += size
-        if self.num_workers == 1 or len(sizes) == 1:
-            # In-process fallback with identical chunk geometry/seeding.
-            parts = [
-                _dispatch(
-                    simulator, plan, size, np.random.default_rng(seed), c
-                )
-                for size, seed, c in zip(sizes, seeds, ctxs)
-            ]
-            return _merge_parts(parts)
-        workers = min(self.num_workers, len(sizes))
-
-        def run_pool(fn, argses, planes=()):
-            if self.reuse_pool:
-                return self.pool_manager.run(
-                    execution_key(simulator, plan=plan),
-                    workers,
-                    self.start_method,
-                    lambda: _WorkerPayload(simulator, plan=plan),
-                    fn,
-                    argses,
-                    planes=planes,
-                )
-            return self._run_cold(
-                _WorkerPayload(simulator, plan=plan), workers, fn, argses
-            )
-
-        if self.result_transport == "shm":
-            # Chunk row bands are prefix sums of the deterministic chunk
-            # sizes, so the whole plane is sized and sliced before any
-            # task runs; the views ARE the merged result — no
-            # concatenation, no copy.
-            planes = PointPlanes(plan.key_axes, plan.num_qubits, repetitions)
-            try:
-                argses, offset = [], 0
-                for size, seed, c in zip(sizes, seeds, ctxs):
-                    argses.append((size, seed, planes.slot(offset), c))
-                    offset += size
-                counts = run_pool(_run_pool_chunk_shm, argses, planes=(planes,))
-                self._record_result_bytes(counts)
-                return planes.views()
-            except BaseException:
-                planes.release()
-                raise
-        parts = run_pool(_run_pool_chunk, list(zip(sizes, seeds, ctxs)))
-        self._record_result_bytes(parts)
-        return _merge_parts(parts)
-
-    def execute_sweep_iter(self, simulator, program, resolvers, repetitions):
-        """Fan whole sweep points across the (warm) pool, streaming.
-
-        A sweep is a one-program batch: each point runs as one stream
-        seeded from ``SeedSequence([seed, index])`` — bit-for-bit
-        identical to a serial ``run_sweep`` — and specializes the shared
-        Program inside the worker (memoized, so optimizer loops
-        revisiting a point skip the param-slot rebuild).  Consecutive
-        sweeps over the same compiled Program and initial-state payload
-        reuse the warm workers with zero re-initializations.  An
-        :class:`~repro.sampler.schedule.AdaptiveScheduler` additionally
-        splits points across workers when the sweep has fewer points
-        than the pool has workers.
-
-        Results stream strictly in point order: point ``i`` is yielded
-        as soon as its last chunk lands *and* every earlier point has
-        been yielded, so ``list(...)`` equals the blocking sweep and a
-        lazy consumer sees early points while later ones still run.
-        """
-        resolvers = list(resolvers)
-        return self.execute_batch_iter(
-            simulator, [program] * len(resolvers), resolvers, repetitions
+        argses = _chunk_task_args(
+            simulator,
+            repetitions,
+            self.num_workers * self.chunks_per_worker,
+            rng,
+            ctx,
         )
+        tasks = [
+            ScheduledTask(0, 0, None, chunk, len(argses), args[2], 0)
+            for chunk, args in enumerate(argses)
+        ]
+        (parts,) = self._run(simulator, (plan,), tasks, argses, repetitions)
+        return parts
 
     def execute_batch_iter(self, simulator, programs, resolvers, repetitions):
-        """Fan a (possibly heterogeneous) batch across the (warm) pool.
+        """Fan a (possibly heterogeneous) batch across the pool, streaming.
 
         The batch's distinct compiled Programs form one **program
         table** shipped to every worker by the pool initializer — the
@@ -504,21 +342,21 @@ class ProcessPoolExecutor(Executor):
         different circuits performs **one** pool initialization instead
         of N, and repeated identical batches reuse the warm workers with
         zero re-initializations (the process-wide Program cache hands
-        the manager the same table objects).  The configured scheduler
-        maps entries to tasks: FIFO (default) is one task per point in
-        order, bit-for-bit identical to the serial ``run_batch``;
-        adaptive scheduling reorders largest-first and splits oversized
-        points into deterministic repetition sub-chunks.
+        the manager the same table objects).  A sweep is a one-program
+        batch.  The configured scheduler maps entries to tasks: FIFO
+        (default) is one task per point, bit-for-bit identical to the
+        serial ``run_batch``; adaptive scheduling reorders largest-first
+        and splits oversized points into deterministic repetition
+        sub-chunks.
 
-        Collection is **completion-ordered** (out-of-order completion
-        is safe — chunks merge by chunk index, never by arrival) and
-        the yields are **point-ordered**: each point's ``(records,
-        bits)`` is released once its last chunk lands and all earlier
-        points are out.  Validation and scheduling happen eagerly, at
-        call time; only the execution is lazy.
+        Collection is **completion-ordered** (chunks merge by chunk
+        index, never by arrival) and the yields are **point-ordered**:
+        each point's ``(records, bits)`` is released once its last chunk
+        lands and all earlier points are out.  Validation and scheduling
+        happen eagerly, at call time; only the execution is lazy.
         """
-        resolvers = list(resolvers)
         programs = list(programs)
+        resolvers = list(resolvers)
         if len(programs) != len(resolvers):
             raise ValueError(
                 f"Got {len(programs)} programs but {len(resolvers)} resolvers"
@@ -528,15 +366,13 @@ class ProcessPoolExecutor(Executor):
         # Dedupe by identity: a batch repeating a circuit (the Program
         # cache returns the same object) ships each distinct Program once.
         table: List = []
-        table_index = {}
+        table_index: Dict[int, int] = {}
         entries = []
         backend = type(simulator.initial_state).__name__
         for point, (program, resolver) in enumerate(zip(programs, resolvers)):
-            index = table_index.get(id(program))
-            if index is None:
-                index = len(table)
+            index = table_index.setdefault(id(program), len(table))
+            if index == len(table):
                 table.append(program)
-                table_index[id(program)] = index
             entries.append(
                 BatchEntry(
                     index,
@@ -548,388 +384,136 @@ class ProcessPoolExecutor(Executor):
                 )
             )
         tasks = self.scheduler.schedule(entries, repetitions, self.num_workers)
-        if self.num_workers == 1 or len(tasks) <= 1:
-            return self._stream_in_process(
-                simulator, table, tasks, entries, repetitions, base
-            )
-        return self._stream_pooled(
-            simulator, table, tasks, entries, repetitions, base
-        )
+        argses = [_batch_task_args(t, base, repetitions) for t in tasks]
 
-    def execute_batch(self, simulator, programs, resolvers, repetitions):
-        """Eager :meth:`execute_batch_iter`: one ``RunParts`` per entry."""
-        return list(
-            self.execute_batch_iter(simulator, programs, resolvers, repetitions)
-        )
-
-    def _stream_in_process(
-        self, simulator, table, tasks, entries, repetitions, base
-    ):
-        """Single-worker/single-task fallback, streamed lazily.
-
-        Runs the exact scheduled-task recipe in the parent (same
-        specialization, same per-task seed streams — batch output must
-        not depend on worker count), in schedule order, releasing each
-        point through the same order-preserving collector as the pooled
-        path.  No pool, no result queue: shared-memory transport would
-        only add copies here, so results stay direct in-process arrays.
-        """
-        collector = _PointCollector(tasks)
-
-        def finalize(point, chunks):
-            return _merge_parts([part for _, part in sorted(chunks)])
-
-        def stream():
-            for task in tasks:
-                part = _run_task_in_process(
-                    simulator, table, _task_args(task, base, repetitions)
-                )
-                yield from collector.feed(task, part, finalize)
-
-        return stream()
-
-    def _stream_pooled(self, simulator, table, tasks, entries, repetitions, base):
-        """Pooled fan-out with completion-ordered collection.
-
-        Shared-memory transport allocates one
-        :class:`~repro.sampler.result_planes.PointPlanes` per point up
-        front (row bands from the scheduler's deterministic chunk
-        geometry) and turns each finished point into zero-copy views;
-        pickle transport accumulates chunk tuples and merges in chunk
-        order.  Either way the generator yields points in point order.
-
-        When the scheduler asks for a timing probe, every worker is
-        spawned and initialized *before* the timing window opens (no-op
-        warm tasks), then **all** tasks are submitted together — probe
-        (largest task) first — and the probe's completion callback
-        calibrates the scheduler's cost model.  The probe never blocks
-        the queue: the other workers chew through the remaining tasks
-        while it runs.  Neither the probe nor the transport changes task
-        geometry or seeds, so output is unaffected.
-
-        A ``work_stealing`` scheduler swaps future-per-task dispatch for
-        the pool's shared task queue: workers pull ``(task_id, use_shm,
-        args)`` items as they free up and report each result with a
-        worker-side duration, which feeds :meth:`Scheduler.calibrate`
-        (and, when attached, the persisted calibration table) for
-        *every* task instead of one probe.  Same task bodies, same
-        seeds, same output — only placement is dynamic.
-
-        Error paths: an abandoned iterator (``close()``) cancels what
-        it can and releases every unviewed plane; a task failure also
-        shuts the warm pool down (fail-safe against poisoned pools) —
-        and the manager's own shutdown backstop unlinks any plane it
-        adopted, so segments never outlive their pool.  A completion gap
-        exceeding ``task_timeout`` kills the (unresponsive) pool and
-        raises :class:`TaskTimeoutError`.
-        """
-        transport = self.result_transport
-        workers = min(self.num_workers, len(tasks))
-        stealing = getattr(self.scheduler, "work_stealing", False)
-        probe = (
-            not stealing
-            and getattr(self.scheduler, "probe", False)
-            and len(tasks) > 1
-        )
-        collector = _PointCollector(tasks)
-        entry_by_point = {e.point_index: e for e in entries}
-
-        planes: Dict[int, PointPlanes] = {}
-        if transport == "shm":
-            for e in entries:
-                program = table[e.program_index]
-                planes[e.point_index] = PointPlanes(
-                    program.key_axes, program.num_qubits, repetitions
-                )
-
-        def task_args(task):
-            args = _task_args(task, base, repetitions)
-            if transport == "shm":
-                # A split point's chunk c starts after chunks 0..c-1 of
-                # the same deterministic near-equal split — the same
-                # offset _task_args shipped as the task's rep_base.
-                args += (planes[task.point_index].slot(args[-1]),)
-            return args
-
-        fn = _run_pool_task_shm if transport == "shm" else _run_pool_task
-        argses = [task_args(t) for t in tasks]
-
-        def payload_factory():
-            return _WorkerPayload(simulator, programs=tuple(table))
-
-        def finalize(point, chunks):
-            if transport == "shm":
-                return planes.pop(point).views()
-            return _merge_parts([part for _, part in sorted(chunks)])
-
-        def calibrate_task(task, seconds):
-            entry = entry_by_point.get(task.point_index)
+        def calibrate(task, seconds):
+            entry = entries[task.point_index]
             self.scheduler.calibrate(
                 task.cost,
                 seconds,
-                backend=getattr(entry, "backend", None),
-                num_qubits=getattr(entry, "num_qubits", None),
+                backend=entry.backend,
+                num_qubits=entry.num_qubits,
             )
 
-        def flush_calibration():
+        return self._run(
+            simulator, table, tasks, argses, repetitions, calibrate
+        )
+
+    def _run(
+        self, simulator, table, tasks, argses, repetitions, calibrate=None
+    ):
+        """The one execution path: yield each point's ``RunParts`` in order.
+
+        ``tasks[j]`` (a :class:`~repro.sampler.schedule.ScheduledTask`)
+        places task ``j`` in its point; ``argses[j]`` is its
+        :func:`~repro.sampler.service._run_task` arguments.  A
+        single-worker executor or a single task runs in the parent with
+        the same task body and seeds (output never depends on worker
+        count); shared memory would only add copies there.  Otherwise
+        the tasks are pulled by the pool's workers: shared-memory
+        transport allocates one
+        :class:`~repro.sampler.result_planes.PointPlanes` per point up
+        front (row bands from the deterministic chunk geometry) and
+        turns each finished point into zero-copy views; pickle transport
+        merges chunk tuples in chunk order.  Every pulled task's
+        measured duration is passed to ``calibrate``.
+
+        Error paths: an abandoned iterator (``close()``) retires the
+        run's unstarted tasks and keeps the pool warm; a failure tears
+        the pool down.  Either way every unviewed plane is released —
+        and the manager's own shutdown backstop unlinks any plane it
+        adopted, so segments never outlive their pool.
+        """
+        collector = _PointCollector(tasks)
+        if self.num_workers == 1 or len(tasks) <= 1:
+            for task, args in zip(tasks, argses):
+                part = _run_task(simulator, table, *args)
+                yield from collector.feed(task, part, _merge_chunks)
+            return
+        shm = self.result_transport == "shm"
+        planes: Dict[int, PointPlanes] = {}
+
+        def finalize(point, chunks):
+            if shm:
+                return planes.pop(point).views()
+            return _merge_chunks(point, chunks)
+
+        manager = self.pool_manager if self.reuse_pool else PoolManager()
+        pulled = None
+        try:
+            if shm:
+                for task in tasks:
+                    if task.point_index not in planes:
+                        unit = table[task.program_index]
+                        planes[task.point_index] = PointPlanes(
+                            unit.key_axes, unit.num_qubits, repetitions
+                        )
+                slots = [
+                    planes[t.point_index].slot(_rep_offset(t, repetitions))
+                    for t in tasks
+                ]
+                argses = [args + (slot,) for args, slot in zip(argses, slots)]
+            pulled = manager.pull(
+                execution_key(simulator, programs=tuple(table)),
+                min(self.num_workers, len(tasks)),
+                self.start_method,
+                lambda: _WorkerPayload(simulator, programs=table),
+                argses,
+                planes=tuple(planes.values()),
+                task_timeout=self.task_timeout,
+            )
+            for task_id, seconds, payload in pulled:
+                task = tasks[task_id]
+                if calibrate is not None:
+                    calibrate(task, seconds)
+                self._record_result_bytes([payload])
+                yield from collector.feed(task, payload, finalize)
             calibration = getattr(self.scheduler, "calibration", None)
-            if calibration is not None:
+            if calibrate is not None and calibration is not None:
                 calibration.flush()
-
-        def teardown_failed_pool(exc, cold_pool):
-            """Poison-path cleanup: timeout kills, anything else joins."""
-            wedged = isinstance(exc, TaskTimeoutError)
-            if self.reuse_pool:
-                if wedged:
-                    self.pool_manager.terminate()
-                else:
-                    # Fail-safe parity with PoolManager.run: a task
-                    # failure poisons the pool; shut it down (which also
-                    # releases its adopted planes) before propagating.
-                    self.pool_manager.shutdown()
-            elif wedged and cold_pool is not None:
-                _kill_pool_processes(cold_pool)
-
-        def stream():
-            cold_pool = None
-            if self.reuse_pool:
-                key = execution_key(simulator, programs=tuple(table))
-                # The first submission hands the manager every plane of
-                # this batch to backstop; later ones re-adopt no-ops.
-                adopt = tuple(planes.values())
-
-                def submit(task_fn, batch):
-                    return self.pool_manager.submit(
-                        key,
-                        workers,
-                        self.start_method,
-                        payload_factory,
-                        task_fn,
-                        batch,
-                        planes=adopt,
-                    )
-
-            else:
-                cold_pool = _cf.ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context(self.start_method),
-                    initializer=_init_pool_worker,
-                    initargs=(payload_factory(),),
-                )
-
-                def submit(task_fn, batch):
-                    return [cold_pool.submit(task_fn, *args) for args in batch]
-
-            pending: Dict[_cf.Future, object] = {}
-            try:
-                if probe:
-                    # Warm every worker before the timing window opens so
-                    # the probe measures the task, not pool startup.
-                    for future in submit(_warm_worker, [()] * workers):
-                        future.result()
-                start = time.perf_counter()
-                pending = dict(zip(submit(fn, argses), tasks))
-                if probe:
-                    # One submission covers the whole queue — the probe
-                    # (largest task, first in the queue) calibrates from
-                    # its completion callback while the other workers
-                    # are already busy with the remaining tasks.
-                    probe_task = tasks[0]
-
-                    def on_probe_done(future):
-                        if future.cancelled() or future.exception():
-                            return
-                        calibrate_task(
-                            probe_task, time.perf_counter() - start
-                        )
-
-                    next(iter(pending)).add_done_callback(on_probe_done)
-                while pending:
-                    done, _ = _cf.wait(
-                        list(pending),
-                        timeout=self.task_timeout,
-                        return_when=_cf.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise TaskTimeoutError(
-                            f"no pool task completed within task_timeout="
-                            f"{self.task_timeout}s ({len(pending)} of "
-                            f"{len(tasks)} tasks outstanding); killing the "
-                            "worker pool"
-                        )
-                    for future in done:
-                        payload = future.result()
-                        self._record_result_bytes([payload])
-                        yield from collector.feed(
-                            pending.pop(future), payload, finalize
-                        )
-                flush_calibration()
-            except GeneratorExit:
-                # Abandoned mid-iteration: drop what never started; the
-                # finally block unlinks the planes (in-flight writers
-                # keep their already-attached mappings, harmlessly).
-                for future in pending:
-                    future.cancel()
-                raise
-            except BaseException as exc:
-                for future in pending:
-                    future.cancel()
-                teardown_failed_pool(exc, cold_pool)
-                raise
-            finally:
-                if cold_pool is not None:
-                    cold_pool.shutdown(wait=True)
-                for plane in planes.values():
-                    plane.release()
-
-        def steal_stream():
-            items = [
-                (task_id, transport == "shm", args)
-                for task_id, args in enumerate(argses)
-            ]
-            cold_pool = None
-            cold_queues = None
-            pullers: List[_cf.Future] = []
-            try:
-                if self.reuse_pool:
-                    key = execution_key(simulator, programs=tuple(table))
-                    pullers, result_queue = self.pool_manager.steal(
-                        key,
-                        workers,
-                        self.start_method,
-                        payload_factory,
-                        items,
-                        planes=tuple(planes.values()),
-                    )
-                else:
-                    ctx = _pool_context(self.start_method)
-                    cold_queues = (ctx.Queue(), ctx.Queue())
-                    cold_pool = _cf.ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=ctx,
-                        initializer=_init_pool_worker,
-                        initargs=(payload_factory(), cold_queues),
-                    )
-                    task_queue, result_queue = cold_queues
-                    for item in items:
-                        task_queue.put(item)
-                    for _ in range(workers):
-                        task_queue.put(None)
-                    pullers = [
-                        cold_pool.submit(_steal_task_loop)
-                        for _ in range(workers)
-                    ]
-                received = 0
-                last_completion = time.monotonic()
-                while received < len(tasks):
-                    try:
-                        task_id, seconds, error, payload = result_queue.get(
-                            timeout=_STEAL_POLL_SECONDS
-                        )
-                    except _queue.Empty:
-                        # No result yet: distinguish "still computing"
-                        # from "a worker died" (queue would starve
-                        # silently) and from "wedged past the timeout".
-                        for puller in pullers:
-                            if puller.done() and puller.exception():
-                                puller.result()  # raises (BrokenPool &c)
-                        gap = time.monotonic() - last_completion
-                        if (
-                            self.task_timeout is not None
-                            and gap > self.task_timeout
-                        ):
-                            raise TaskTimeoutError(
-                                "no stolen task completed within "
-                                f"task_timeout={self.task_timeout}s "
-                                f"({len(tasks) - received} of {len(tasks)} "
-                                "tasks outstanding); killing the worker "
-                                "pool"
-                            )
-                        continue
-                    last_completion = time.monotonic()
-                    if error is not None:
-                        raise error
-                    task = tasks[task_id]
-                    calibrate_task(task, seconds)
-                    self._record_result_bytes([payload])
-                    yield from collector.feed(task, payload, finalize)
-                    received += 1
-                for puller in pullers:
-                    puller.result()
-                flush_calibration()
-            except GeneratorExit:
-                # Abandoned mid-drain: the shared queues still hold this
-                # run's items/sentinels, so the pool cannot be reused —
-                # retire it (workers finish what they already pulled).
-                if self.reuse_pool:
-                    self.pool_manager.shutdown()
-                raise
-            except BaseException as exc:
-                teardown_failed_pool(exc, cold_pool)
-                raise
-            finally:
-                if cold_pool is not None:
-                    cold_pool.shutdown(wait=True)
-                    for q in cold_queues:
-                        q.close()
-                        q.cancel_join_thread()
-                for plane in planes.values():
-                    plane.release()
-
-        return steal_stream() if stealing else stream()
-
-    def _run_cold(self, payload, workers, fn, argses):
-        """One fresh pool for this call only (the pre-warm cost model)."""
-        with _cf.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(self.start_method),
-            initializer=_init_pool_worker,
-            initargs=(payload,),
-        ) as pool:
-            pending = [pool.submit(fn, *args) for args in argses]
-            return [f.result() for f in pending]
+        finally:
+            if pulled is not None:
+                pulled.close()
+            if not self.reuse_pool:
+                manager.shutdown()
+            for plane in planes.values():
+                plane.release()
 
 
-#: How often the stealing drain loop wakes to check for dead workers and
-#: the task_timeout gap while the result queue is empty.  Purely a
-#: liveness poll — results are picked up the moment they arrive.
-_STEAL_POLL_SECONDS = 0.05
+def _rep_offset(task, repetitions: int) -> int:
+    """A task's first repetition within its point.
 
-
-def _kill_pool_processes(pool) -> None:
-    """Kill a cold pool's workers (timeout escalation; cannot cancel)."""
-    processes = dict(getattr(pool, "_processes", None) or {})
-    for proc in processes.values():
-        proc.kill()
-    for proc in processes.values():
-        proc.join()
-
-
-def _task_args(task, base: int, repetitions: int) -> Tuple:
-    """The picklable args tuple of one scheduled task (sans transport).
-
-    The trailing ``rep_base`` is the task's global starting repetition
-    within its point — 0 for unsplit points, else the prefix sum of the
-    deterministic near-equal chunk split.  It anchors the batched
-    trajectory engine's per-repetition seed streams (and doubles as the
-    shm row offset), so split points produce the same batched output as
-    unsplit ones.
+    0 for unsplit points, else the prefix sum of the deterministic
+    near-equal chunk split — the shm row offset of the task's slot and,
+    for batch tasks, the batched trajectory engine's ``rep_base``.
     """
-    rep_base = (
-        0
-        if task.num_chunks == 1
-        else sum(_chunk_sizes(repetitions, task.num_chunks)[: task.chunk_index])
-    )
+    if task.num_chunks == 1:
+        return 0
+    return sum(_chunk_sizes(repetitions, task.num_chunks)[: task.chunk_index])
+
+
+def _batch_task_args(task, base: int, repetitions: int) -> Tuple:
+    """The :func:`~repro.sampler.service._run_task` args of a batch task.
+
+    ``rep_base`` anchors the batched trajectory engine's per-repetition
+    seed streams at the task's global starting repetition, so split
+    points produce the same batched output as unsplit ones.
+    """
     return (
         task.program_index,
-        task.point_index,
         task.resolver,
         task.repetitions,
-        task.num_chunks,
-        task.chunk_index,
-        base,
-        rep_base,
+        _task_entropy(
+            base, task.point_index, task.num_chunks, task.chunk_index
+        ),
+        (base, task.point_index, _rep_offset(task, repetitions)),
     )
+
+
+def _merge_chunks(point, chunks) -> RunParts:
+    """Merge one point's ``(chunk_index, (records, bits))`` in chunk order."""
+    chunks = sorted(chunks, key=lambda chunk: chunk[0])
+    return _merge_parts([part for _, part in chunks])
 
 
 class _PointCollector:
@@ -972,28 +556,22 @@ class _PointCollector:
 
 
 def _run_task_in_process(simulator, table, args) -> RunParts:
-    """The scheduled-task body run in the parent process (fallbacks).
+    """Replay one scheduled batch task in the parent process.
 
-    Mirrors :func:`repro.sampler.service._run_pool_task` exactly — same
-    program selection, memoized specialization, and per-task seed stream
-    — so single-worker and single-task fallbacks are bit-for-bit
-    identical to the pooled fan-out.
+    ``args = (program_index, point_index, resolver, size, num_chunks,
+    chunk_index, base[, rep_base])`` names the task the way a schedule
+    does; the replay runs the pooled task body with the same seeds, so a
+    schedule replayed here is bit-for-bit the pooled output.
     """
-    (
+    program_index, point, resolver, size, num_chunks, chunk, base, *rest = args
+    return _run_task(
+        simulator,
+        table,
         program_index,
-        point_index,
         resolver,
         size,
-        num_chunks,
-        chunk_index,
-        base,
-        *rest,
-    ) = args
-    rep_base = rest[0] if rest else 0
-    plan = table[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    return _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
+        _task_entropy(base, point, num_chunks, chunk),
+        (base, point, rest[0] if rest else 0),
     )
 
 

@@ -1,41 +1,37 @@
-"""Warm-pool execution service: persistent workers across sampling calls.
+"""Warm-pool execution service: persistent workers, one pull-based path.
 
-PR 3's :class:`~repro.sampler.executors.ProcessPoolExecutor` already shipped
-the compiled plan and packed initial state to each worker exactly once —
-but once per *pool*, and it built a fresh pool (and re-initialized every
-worker) on every ``execute`` call.  A parameter sweep therefore paid the
-full worker-startup cost at every sweep point, which is exactly the
-overhead the paper's gate-by-gate scaling argument says should be paid
-once.
-
-This module is the missing lifecycle layer:
+A process pool pays its worker-startup cost — spawning, shipping the
+compiled unit and the packed initial state, restoring that state — per
+*pool*.  Building one per ``execute`` call made a parameter sweep pay it
+at every sweep point, which is exactly the overhead the paper's
+gate-by-gate scaling argument says should be paid once.  This module is
+the lifecycle and dispatch layer under
+:class:`~repro.sampler.executors.ProcessPoolExecutor`:
 
 * :class:`PoolManager` owns one process pool and keeps it — workers,
-  shipped plan/Program, restored initial state and all — alive across
+  shipped unit table, restored initial state and all — alive across
   ``execute`` / ``run_sweep`` / ``run_batch`` calls.  Workers are
-  re-initialized **only when the execution key changes**: the key combines
-  the identity of the compiled unit (a specialized
-  :class:`~repro.sampler.plan.ExecutionPlan` or a parameterized
-  :class:`~repro.sampler.program.Program`), the initial-state payload (the
-  registry ``snapshot`` payload for backends that declare one, object
-  identity otherwise), the simulator configuration, and the pool geometry.
-  Because :meth:`Program.specialize` memoizes per resolved parameter tuple
-  and the Program cache is process-wide, repeated runs of the same circuit
-  reach the manager with the *same* unit object and reuse the warm pool
+  re-initialized **only when the execution key changes** (or a worker
+  has died): the key combines the identity of the compiled units (a
+  specialized :class:`~repro.sampler.plan.ExecutionPlan` or the
+  :class:`~repro.sampler.program.Program` table of a batch), the
+  initial-state payload (the registry ``snapshot`` payload for backends
+  that declare one, object identity otherwise), the simulator
+  configuration, and the pool geometry.  Because
+  :meth:`Program.specialize` memoizes per resolved parameter tuple and
+  the Program cache is process-wide, repeated runs of the same circuit
+  reach the manager with the *same* unit objects and reuse the warm pool
   with zero re-initializations.
-* Module-level worker plumbing (:func:`_init_pool_worker`,
-  :func:`_run_pool_chunk`, :func:`_run_pool_task`) gives pooled tasks two
-  shapes: repetition *chunks* — two integers ``(size, seed)`` against the
-  worker's shared plan — and scheduled *batch tasks* —
-  ``(program_index, point_index, resolver, size, num_chunks, chunk_index,
-  base, rep_base)`` against the worker's shared **program table** (the compiled
-  Programs of a whole heterogeneous batch, shipped once by the
-  initializer).  Whole points rebuild their generator from
-  ``SeedSequence([base, point])`` so pooled point/batch output is
-  bit-for-bit identical to a serial ``run_sweep``/``run_batch``; chunks
-  of a point split by the adaptive scheduler use ``SeedSequence([base,
-  point, chunk])`` and merge back in chunk order
-  (:mod:`repro.sampler.schedule`).
+* :meth:`PoolManager.pull` is the one dispatch path of every pooled run.
+  Tasks go onto the pool's shared task queue and each worker runs
+  :func:`_task_loop`, pulling the next task as it frees up and reporting
+  its result with a measured duration.  Every task runs the one body
+  :func:`_run_task`: ``(unit_index, resolver, size, entropy, ctx[,
+  slot])`` against the worker's unit table, seeded
+  ``default_rng(SeedSequence(entropy))`` — a repetition chunk's integer
+  seed or a batch task's ``[base, point(, chunk)]`` — and either
+  written into a shared-memory result-plane slot or returned as
+  ``(records, bits)``.
 * :func:`shared_pool_manager` is the default process-wide manager used by
   ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
   at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
@@ -44,7 +40,7 @@ This module is the missing lifecycle layer:
 
 Determinism contracts (pinned by ``tests/test_pool_service.py``):
 
-* chunk ``i`` always receives ``SeedSequence([seed, i])`` — warm, cold,
+* chunk ``i`` always receives ``SeedSequence([seed, i])`` — warm, scoped,
   and serial chunked runs of equal geometry are bit-for-bit identical;
 * sweep point ``i`` always receives ``SeedSequence([seed, i])`` and runs
   as one stream — pooled point scope reproduces a serial ``run_sweep``
@@ -55,6 +51,7 @@ Determinism contracts (pinned by ``tests/test_pool_service.py``):
   prefix sum of earlier chunks) — pooled batched output is a pure
   function of the global repetition index, invariant to worker count and
   chunk geometry (``tests/test_trajectory_batch.py``);
+* which worker pulls which task never changes the output;
 * the initial state is treated as immutable (the sampler only ever copies
   it); mutating it in place between calls is outside the contract.
 """
@@ -65,11 +62,21 @@ import atexit
 import multiprocessing
 import os
 import pickle
+import queue as _queue
 import threading
 import time
 import weakref
 from concurrent import futures as _cf
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -223,7 +230,7 @@ def _pool_context(start_method: Optional[str]):
 
 
 # ----------------------------------------------------------------------
-# worker-side plumbing: payload shipped once, O(1) task bodies
+# worker-side plumbing: payload shipped once, one task body
 # ----------------------------------------------------------------------
 
 class _WorkerPayload:
@@ -235,12 +242,12 @@ class _WorkerPayload:
     descriptor falls back to object pickling so the worker state keeps
     the subclass type), else as the state object itself; either way it is
     pickled once per *worker* by the pool initializer — never per task.
-    ``plan`` fuels repetition-chunk tasks; ``programs`` is the worker's
-    *program table* — the compiled Programs of a whole (possibly
-    heterogeneous) batch, shipped once so tasks can select a program by
-    index in-worker.  A single-program sweep is just a one-entry table.
-    Tasks specialize per resolver inside the worker (memoized, so
-    revisited grid points skip even the param-slot rebuild).
+    ``programs`` is the worker's *unit table*: the compiled Programs of a
+    whole (possibly heterogeneous) batch — a sweep is a one-entry table —
+    or, for a repetition-scope run, the one specialized ``plan``.  Tasks
+    select a unit by index and specialize it in-worker (memoized, so
+    revisited grid points skip even the param-slot rebuild; a plan is its
+    own specialization).
     """
 
     __slots__ = (
@@ -273,11 +280,9 @@ class _WorkerPayload:
         if program is not None and programs is not None:
             raise ValueError("Pass either program or programs, not both")
         self.plan = plan
-        self.programs = (
-            tuple(programs)
-            if programs is not None
-            else ((program,) if program is not None else None)
-        )
+        if programs is None:
+            programs = [u for u in (plan, program) if u is not None]
+        self.programs = tuple(programs)
         self.apply_op = simulator.apply_op
         self.compute_probability = simulator.compute_probability
         self.user_candidates = simulator.user_candidate_function
@@ -306,128 +311,72 @@ class _WorkerPayload:
         )
 
 
-_WORKER: Optional[Tuple[object, object, object]] = None
-
-# The worker's end of the pool's shared work queues — ``(task_queue,
-# result_queue)`` — shipped by the initializer alongside the payload.
-# Queues ride the *process-creation* channel (Process args), which is the
-# one place multiprocessing.Queue is picklable, so this works identically
-# under fork, forkserver, and spawn.
+# The worker's simulator and compiled-unit table — built once by the pool
+# initializer — and its end of the pool's shared work queues,
+# ``(task_queue, result_queue)``.  Queues ride the *process-creation*
+# channel (initializer args), the one place a multiprocessing.Queue is
+# picklable, so this works identically under fork, forkserver, and spawn.
+_WORKER: Optional[Tuple[object, Tuple]] = None
 _WORKER_QUEUES: Optional[Tuple[object, object]] = None
 
 
 def _init_pool_worker(payload: _WorkerPayload, queues=None) -> None:
-    """Pool initializer: build the worker-local simulator + shared unit."""
+    """Pool initializer: build the worker-local simulator + unit table."""
     global _WORKER, _WORKER_QUEUES
-    _WORKER = (payload.build_simulator(), payload.plan, payload.programs)
+    _WORKER = (payload.build_simulator(), payload.programs)
     _WORKER_QUEUES = queues
 
 
-def _run_pool_chunk(size: int, seed: int, ctx=None) -> RunParts:
-    """Worker task body: two integers in, one chunk of samples out.
-
-    ``ctx`` is the batched engine's ``(base, point, rep_base)`` anchor —
-    ``None`` outside batched trajectory mode, so the classic contract
-    (two integers in) is unchanged where it applies.
-    """
-    simulator, plan, _ = _WORKER
-    return _dispatch(simulator, plan, size, np.random.default_rng(seed), ctx)
-
-
-def _run_pool_chunk_shm(
-    size: int, seed: int, slot: SlotDescriptor, ctx=None
-) -> int:
-    """Shm-transport sibling of :func:`_run_pool_chunk`.
-
-    Identical simulation (same plan, same seed, same stream) — the only
-    difference is where the samples go: into the parent's shared-memory
-    result plane at this chunk's row band, with just the row count
-    returned through the queue.
-    """
-    simulator, plan, _ = _WORKER
-    records, bits = _dispatch(
-        simulator, plan, size, np.random.default_rng(seed), ctx
-    )
-    return write_chunk_to_slot(plan, slot, records, bits)
-
-
-def _warm_worker() -> bool:
-    """No-op task forcing worker spawn + initialization (timing probes)."""
-    return _WORKER is not None
-
-
-def _task_rng(
+def _task_entropy(
     base: int, point_index: int, num_chunks: int, chunk_index: int
-) -> np.random.Generator:
-    """The deterministic generator of one scheduled task.
+) -> Tuple[int, ...]:
+    """The ``SeedSequence`` entropy of one scheduled batch task.
 
     Whole points (``num_chunks == 1``) keep the serial ``run_sweep`` /
     ``run_batch`` recipe — one stream off ``SeedSequence([base, point])``
     — so unsplit scheduling is bit-for-bit identical to the serial path.
     Chunks of a split point draw from ``SeedSequence([base, point,
     chunk])``: a stable function of the indices alone, so the output
-    never depends on worker count, submission order, or timing.
+    never depends on worker count, pull order, or timing.
     """
     if num_chunks == 1:
-        seq = np.random.SeedSequence([base, point_index])
-    else:
-        seq = np.random.SeedSequence([base, point_index, chunk_index])
-    return np.random.default_rng(seq)
+        return (base, point_index)
+    return (base, point_index, chunk_index)
 
 
-def _run_pool_task(
-    program_index: int,
-    point_index: int,
+def _run_task(
+    simulator,
+    units: Sequence,
+    unit_index: int,
     resolver,
     size: int,
-    num_chunks: int,
-    chunk_index: int,
-    base: int,
-    rep_base: int = 0,
-) -> RunParts:
-    """Worker task body for one scheduled task of a (possibly
-    heterogeneous) batch: select the program from the worker's table,
-    specialize for the task's resolver (memoized — revisited grid points
-    skip the rebuild), and run this task's repetitions off the
-    deterministic :func:`_task_rng` stream.
+    entropy,
+    ctx: Tuple[int, int, int],
+    slot: Optional[SlotDescriptor] = None,
+):
+    """The one task body of every pooled (and in-process) run.
 
-    ``rep_base`` is the task's global repetition offset within its point
-    (0 for unsplit points) — the batched trajectory engine seeds
-    repetition ``r`` from ``SeedSequence([base, point, rep_base + r])``,
-    which is what makes batched output independent of how the scheduler
-    split the point.
+    Selects the compiled unit from the table — a Program, specialized for
+    the task's resolver (memoized, so revisited grid points skip the
+    rebuild), or an already-specialized plan — and runs ``size``
+    repetitions off ``default_rng(SeedSequence(entropy))``.  ``entropy``
+    is a repetition chunk's integer seed or a batch task's
+    :func:`_task_entropy`; ``default_rng(s)`` and
+    ``default_rng(SeedSequence(s))`` are the same stream, so one body
+    serves both without changing either.  ``ctx = (base, point,
+    rep_base)`` anchors the batched trajectory engine's per-repetition
+    seeds, which is what makes batched output independent of chunk
+    geometry.
+
+    With a shared-memory ``slot`` the samples land in the parent's
+    result plane and only the row count travels back; without one the
+    ``(records, bits)`` tuple is returned.
     """
-    simulator, _, programs = _WORKER
-    plan = programs[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    return _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
-    )
-
-
-def _run_pool_task_shm(
-    program_index: int,
-    point_index: int,
-    resolver,
-    size: int,
-    num_chunks: int,
-    chunk_index: int,
-    base: int,
-    rep_base: int,
-    slot: SlotDescriptor,
-) -> int:
-    """Shm-transport sibling of :func:`_run_pool_task`.
-
-    Same program selection, specialization, and deterministic stream —
-    the samples land in the point's shared result plane instead of the
-    result queue, and only the row count travels back.
-    """
-    simulator, _, programs = _WORKER
-    plan = programs[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    records, bits = _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
-    )
+    plan = units[unit_index].specialize(resolver)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    records, bits = _dispatch(simulator, plan, size, rng, ctx)
+    if slot is None:
+        return records, bits
     return write_chunk_to_slot(plan, slot, records, bits)
 
 
@@ -443,41 +392,36 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return exc
     except Exception:
         return RuntimeError(
-            f"work-stealing task failed with unpicklable "
+            f"pool task failed with unpicklable "
             f"{type(exc).__name__}: {exc!r}"
         )
 
 
-def _steal_task_loop() -> int:
-    """Worker body of the work-stealing mode: pull tasks until poisoned.
+def _task_loop() -> int:
+    """Worker body of every pooled run: pull tasks until a sentinel.
 
-    Each pool worker runs exactly one of these.  It pulls ``(task_id,
-    use_shm, args)`` items off the shared task queue — *placement* is
-    whichever worker gets there first — runs the task body
-    (:func:`_run_pool_task` / :func:`_run_pool_task_shm`, so geometry,
-    seeds, and output are identical to future-per-task dispatch), and
+    Each pool worker runs exactly one of these per run.  It pulls
+    ``(task_id, args)`` items off the shared task queue — *placement* is
+    whichever worker gets there first — runs :func:`_run_task`, and
     reports ``(task_id, seconds, error, payload)`` on the result queue
     with a worker-side ``perf_counter`` duration for calibration.  A
     ``None`` sentinel (one per worker, enqueued after all tasks) ends the
     loop; the return value is how many tasks this worker ran.  Task
-    errors are reported per-task, never raised — the parent decides
+    errors are reported per task, never raised — the parent decides
     whether to abandon the run.
     """
     task_queue, result_queue = _WORKER_QUEUES
+    simulator, units = _WORKER
     ran = 0
     while True:
         item = task_queue.get()
         if item is None:
             return ran
-        task_id, use_shm, args = item
+        task_id, args = item
         start = time.perf_counter()
-        error = None
-        payload = None
+        error = payload = None
         try:
-            if use_shm:
-                payload = _run_pool_task_shm(*args)
-            else:
-                payload = _run_pool_task(*args)
+            payload = _run_task(simulator, units, *args)
         except BaseException as exc:
             error = _picklable_error(exc)
         seconds = time.perf_counter() - start
@@ -568,26 +512,62 @@ def execution_key(simulator, *, plan=None, program=None, programs=None) -> Tuple
 # the warm pool itself
 # ----------------------------------------------------------------------
 
+class TaskTimeoutError(RuntimeError):
+    """No pool task completed within the executor's ``task_timeout``.
+
+    Raised by pooled runs when the completion *gap* — the time since the
+    last task finished (or since dispatch) — exceeds
+    ``ProcessPoolExecutor(task_timeout=...)``.  A wedged worker cannot
+    be interrupted, so before raising, the manager **poisons the pool**:
+    worker processes are killed, the pool is torn down, and every
+    in-flight shared-memory result plane is released.  The next pooled
+    call rebuilds a fresh pool.
+    """
+
+
+#: How often the collect loop wakes to check for dead workers and the
+#: task_timeout gap while the result queue is empty.  Purely a liveness
+#: poll — results are picked up the moment they arrive.
+_POLL_SECONDS = 0.05
+
+
+def _raise_if_broken(pullers: Sequence[_cf.Future]) -> None:
+    """Re-raise a puller's failure (``BrokenProcessPool`` when a worker
+    died), which would otherwise starve the result queue silently."""
+    for puller in pullers:
+        if puller.done() and puller.exception() is not None:
+            puller.result()
+
+
+def _pool_broken(pool: _cf.ProcessPoolExecutor) -> bool:
+    """Whether any worker of ``pool`` has died (killed, OOM, crashed)."""
+    if getattr(pool, "_broken", False):
+        return True
+    processes = dict(getattr(pool, "_processes", None) or {})
+    return any(proc.exitcode is not None for proc in processes.values())
+
+
 class PoolManager:
     """Owns one process pool and reuses its initialized workers.
 
     The manager lazily builds a pool for the first execution key it sees
-    and keeps it warm: subsequent calls with an equal key submit straight
-    to the live workers (``stats["reuses"]``), while a different key —
-    new compiled unit, new initial-state payload, changed simulator
+    and keeps it warm: subsequent calls with an equal key dispatch
+    straight to the live workers (``stats["reuses"]``), while a different
+    key — new compiled unit, new initial-state payload, changed simulator
     config or pool geometry — shuts the old pool down cleanly and builds
-    a fresh one (``stats["key_changes"]`` + ``stats["inits"]``).  The
-    worker-initialization counter the lifecycle tests pin is
-    ``stats["inits"]``: two consecutive ``run_sweep`` calls over one
-    compiled Program must leave it at 1.
+    a fresh one (``stats["key_changes"]`` + ``stats["inits"]``).  A pool
+    with a dead worker (killed while idle, say) is rebuilt the same way
+    instead of being reused.  The worker-initialization counter the
+    lifecycle tests pin is ``stats["inits"]``: two consecutive
+    ``run_sweep`` calls over one compiled Program must leave it at 1.
 
-    Lifecycle: use as a context manager for scoped pools, call
-    :meth:`shutdown` explicitly, or rely on the shared manager's
-    ``atexit`` hook.  ``shutdown`` joins every worker (no leaked
-    processes) and is idempotent; the manager is reusable afterwards (the
-    next call simply builds a new pool).  Any task failure — including a
-    broken pool — shuts the pool down before the exception propagates, so
-    a poisoned pool is never reused.
+    Every pooled run goes through :meth:`pull`.  Lifecycle: use as a
+    context manager for scoped pools, call :meth:`shutdown` explicitly,
+    or rely on the shared manager's ``atexit`` hook.  ``shutdown`` joins
+    every worker (no leaked processes) and is idempotent; the manager is
+    reusable afterwards (the next call simply builds a new pool).  Any
+    task failure — including a broken pool — tears the pool down before
+    the exception propagates, so a poisoned pool is never reused.
     """
 
     def __init__(self):
@@ -596,12 +576,13 @@ class PoolManager:
         self._payload: Optional[_WorkerPayload] = None
         self._queues: Optional[Tuple] = None
         self._last_pids: List[int] = []
-        # One batch at a time: without the lock, a second thread's key
-        # change could shut the pool down between another thread's
-        # _ensure and submit.  Concurrent different-key callers therefore
-        # serialize (and alternate keys still thrash pool rebuilds —
-        # give such threads their own managers).
         self._lock = threading.RLock()
+        # One run at a time: every run shares the pool's two queues, so
+        # a run owns them from dispatch until its last result is in (or
+        # it is abandoned).  Other threads wait their turn; ``_runner``
+        # is the owning thread's ident.
+        self._turn = threading.Condition(self._lock)
+        self._runner: Optional[int] = None
         # Shared-memory result planes currently in flight on this pool.
         # The manager is the lifecycle backstop the executor's own
         # try/finally cannot cover: a poisoned pool shuts down through
@@ -641,9 +622,9 @@ class PoolManager:
                 pool.shutdown(wait=True)
             if queues is not None:
                 # After the join: no worker is left to read or write them.
-                # cancel_join_thread so undelivered items (an abandoned
-                # stealing run) cannot block interpreter exit on the
-                # feeder thread.
+                # cancel_join_thread so undelivered items (a run torn down
+                # mid-flight) cannot block interpreter exit on the feeder
+                # thread.
                 for q in queues:
                     q.close()
                     q.cancel_join_thread()
@@ -654,12 +635,11 @@ class PoolManager:
     def terminate(self) -> None:
         """Kill the pool's workers, then clean up as :meth:`shutdown`.
 
-        The escalation path for a *wedged* pool: ``shutdown`` joins
-        workers, which blocks forever behind a hung task, so the
-        task-timeout path kills the worker processes first and then runs
+        The teardown of a failed run: ``shutdown`` joins workers, which
+        blocks behind a hung task (and behind every task still queued),
+        so a failed run kills the worker processes first and then runs
         the normal teardown (queue close, plane release) against the
-        already-dead pool.  Pending futures surface
-        ``BrokenProcessPool``.
+        already-dead pool.
         """
         with self._lock:
             pool = self._pool
@@ -680,142 +660,202 @@ class PoolManager:
         self.shutdown()
 
     # -- execution ---------------------------------------------------------
-    def run(
+    def pull(
         self,
         key: Tuple,
         num_workers: int,
         start_method: Optional[str],
         payload_factory: Callable[[], _WorkerPayload],
-        fn: Callable,
         argses: Sequence[Tuple],
         planes: Sequence = (),
-    ) -> List:
-        """Run ``fn(*args)`` for every args tuple on the (warm) pool.
+        task_timeout: Optional[float] = None,
+    ) -> Iterator[Tuple[int, float, object]]:
+        """Run :func:`_run_task` for every args tuple on the warm pool.
 
-        Results come back in submission order.  On any failure the pool
-        is shut down before the exception propagates (fail-safe against
-        broken/poisoned pools); the next call rebuilds it.
+        Every task is enqueued on the pool's shared task queue, followed
+        by one ``None`` sentinel per worker, and every worker is handed
+        one :func:`_task_loop`; workers then *pull* tasks as they free
+        up.  Yields ``(task_id, seconds, payload)`` in completion order,
+        ``seconds`` being the worker-measured task duration.  Lazy: the
+        pool is ensured and the tasks are enqueued on the first
+        ``next()``.  Runs share the pool's queues, so one run holds them
+        at a time: a run from another thread waits for the current one
+        to finish or be closed, and a second open run in the same thread
+        raises ``RuntimeError``.
 
-        ``planes`` are this call's shared-memory result planes: the
+        ``planes`` are this run's shared-memory result planes: the
         manager **adopts** them — becomes their lifecycle backstop — so
-        that if this pool is ever shut down (poisoned pool, key change,
+        that if this pool is shut down (poisoned pool, key change,
         explicit reset) before a plane is retired, :meth:`shutdown`
         releases it and no segment outlives the pool filling it.
-        Adoption happens after :meth:`_ensure` (still under the lock):
-        a key change tears the *previous* pool and its leftovers down
-        without touching this call's fresh planes.
+
+        Failure paths: a task error, a dead worker, or an interrupt
+        kills the pool (:meth:`terminate`) before the exception
+        propagates; a completion gap over ``task_timeout`` does the same
+        and raises :class:`TaskTimeoutError`.  An abandoned iterator
+        (``close()``) keeps the pool warm: see :meth:`_abandon`.
         """
-        with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
-            self._planes.update(planes)
-            try:
-                pending = [pool.submit(fn, *args) for args in argses]
-                results = [f.result() for f in pending]
-            except BaseException:
-                self.shutdown()
-                raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
-            return results
-
-    def submit(
-        self,
-        key: Tuple,
-        num_workers: int,
-        start_method: Optional[str],
-        payload_factory: Callable[[], _WorkerPayload],
-        fn: Callable,
-        argses: Sequence[Tuple],
-        planes: Sequence = (),
-    ) -> List[_cf.Future]:
-        """Submit ``fn(*args)`` tasks to the (warm) pool, returning futures.
-
-        The completion-ordered sibling of :meth:`run`: the caller
-        collects with ``concurrent.futures.as_completed`` (streaming
-        results as they land) instead of blocking for submission order.
-        The lock covers only ensure + submit — collection happens outside
-        it, which is safe because a later key change's ``shutdown``
-        waits for every queued future before tearing the pool down.  A
-        submission failure still shuts the pool down fail-safe; result
-        failures are the caller's to handle (shut the manager down
-        before propagating, as :meth:`run` does).  ``planes`` are
-        adopted exactly as in :meth:`run`.
-        """
-        with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
-            self._planes.update(planes)
-            try:
-                pending = [pool.submit(fn, *args) for args in argses]
-            except BaseException:
-                self.shutdown()
-                raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
-            return pending
-
-    def steal(
-        self,
-        key: Tuple,
-        num_workers: int,
-        start_method: Optional[str],
-        payload_factory: Callable[[], _WorkerPayload],
-        items: Sequence[Tuple],
-        planes: Sequence = (),
-    ) -> Tuple[List[_cf.Future], object]:
-        """Dispatch ``(task_id, use_shm, args)`` items work-stealing style.
-
-        All items are enqueued on the pool's shared task queue, followed
-        by one ``None`` sentinel per worker, and every worker is handed
-        one :func:`_steal_task_loop` future — workers then *pull* tasks
-        as they free up, so placement adapts to measured runtime while
-        the task list (geometry + seeds) stays exactly what the caller
-        scheduled.  Returns ``(puller_futures, result_queue)``: the
-        caller drains ``len(items)`` results — ``(task_id, seconds,
-        error, payload)`` — off the queue in completion order.
-
-        Queue-hygiene contract: a clean run consumes every item and
-        every sentinel, leaving both queues empty for warm reuse.  A
-        caller abandoning a run mid-drain MUST :meth:`shutdown` (or
-        :meth:`terminate`) this manager — stale items on a reused queue
-        would corrupt the next run.  The executor's stealing path does
-        exactly that on every failure.
-        """
-        with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
-            self._planes.update(planes)
-            try:
+        self._take_turn()
+        turn = True
+        try:
+            with self._lock:
+                pool = self._ensure(
+                    key, num_workers, start_method, payload_factory
+                )
+                self._planes.update(planes)
                 task_queue, result_queue = self._queues
-                for item in items:
-                    task_queue.put(item)
-                for _ in range(num_workers):
-                    task_queue.put(None)
-                pullers = [
-                    pool.submit(_steal_task_loop) for _ in range(num_workers)
-                ]
-            except BaseException:
-                self.shutdown()
+                try:
+                    for item in enumerate(argses):
+                        task_queue.put(item)
+                    for _ in range(num_workers):
+                        task_queue.put(None)
+                    pullers = [
+                        pool.submit(_task_loop) for _ in range(num_workers)
+                    ]
+                except BaseException:
+                    self.shutdown()
+                    raise
+                if getattr(pool, "_processes", None):
+                    self._last_pids = sorted(pool._processes)
+            outstanding = len(argses)
+            last = time.monotonic()
+            try:
+                while outstanding:
+                    try:
+                        task_id, seconds, error, payload = result_queue.get(
+                            timeout=_POLL_SECONDS
+                        )
+                    except _queue.Empty:
+                        _raise_if_broken(pullers)
+                        if (
+                            task_timeout is not None
+                            and time.monotonic() - last > task_timeout
+                        ):
+                            raise TaskTimeoutError(
+                                "no pool task completed within "
+                                f"task_timeout={task_timeout}s "
+                                f"({outstanding} of {len(argses)} tasks "
+                                "outstanding); killing the worker pool"
+                            )
+                        continue
+                    last = time.monotonic()
+                    outstanding -= 1
+                    if error is not None:
+                        raise error
+                    if not outstanding:
+                        # Done once every worker has taken its sentinel:
+                        # hand the queues on before the last yield, so a
+                        # consumer that stops reading here holds nothing.
+                        for puller in pullers:
+                            puller.result()
+                        self._end_turn()
+                        turn = False
+                    yield task_id, seconds, payload
+            except GeneratorExit:
+                if outstanding:
+                    self._abandon(
+                        task_queue, result_queue, pullers, outstanding,
+                        task_timeout,
+                    )
                 raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
-            return pullers, result_queue
+            except BaseException:
+                self.terminate()
+                raise
+        finally:
+            if turn:
+                self._end_turn()
+
+    def _take_turn(self) -> None:
+        """Wait until no other thread's run holds the shared queues."""
+        me = threading.get_ident()
+        with self._turn:
+            while self._runner is not None:
+                if self._runner == me:
+                    raise RuntimeError(
+                        "this thread already has a pooled run open on this "
+                        "PoolManager; exhaust or close() it first"
+                    )
+                self._turn.wait()
+            self._runner = me
+
+    def _end_turn(self) -> None:
+        """Release the shared queues to the next run."""
+        with self._turn:
+            self._runner = None
+            self._turn.notify_all()
+
+    def _abandon(
+        self,
+        task_queue,
+        result_queue,
+        pullers: Sequence[_cf.Future],
+        outstanding: int,
+        task_timeout: Optional[float],
+    ) -> None:
+        """Retire an abandoned run and keep the pool warm.
+
+        The parent takes the run's unstarted items off the shared task
+        queue itself and awaits only the in-flight results, by count —
+        every outstanding task is either removed here or reports a
+        result.  Sentinels it removed on the way go back, so each worker
+        still ends its loop and the queues are clean for the next run.
+        Waiting on the pool's own shutdown instead would run every
+        unstarted task first.  If a worker dies or the ``task_timeout``
+        gap passes meanwhile, the pool is killed instead.
+        """
+        sentinels = 0
+        last = time.monotonic()
+        try:
+            while outstanding:
+                try:
+                    item = task_queue.get(timeout=_POLL_SECONDS / 5)
+                except _queue.Empty:
+                    pass
+                else:
+                    if item is None:
+                        sentinels += 1
+                    else:
+                        outstanding -= 1
+                    continue
+                while outstanding:
+                    try:
+                        result_queue.get_nowait()
+                    except _queue.Empty:
+                        break
+                    outstanding -= 1
+                    last = time.monotonic()
+                _raise_if_broken(pullers)
+                if (
+                    task_timeout is not None
+                    and time.monotonic() - last > task_timeout
+                ):
+                    self.terminate()
+                    return
+        except BaseException as exc:
+            self.terminate()
+            if not isinstance(exc, Exception):
+                raise
+            return
+        for _ in range(sentinels):
+            task_queue.put(None)
 
     def _ensure(
         self, key, num_workers, start_method, payload_factory
     ) -> _cf.ProcessPoolExecutor:
         full_key = (key, num_workers, start_method)
         if self._pool is not None:
-            if full_key == self._key:
+            if _pool_broken(self._pool):
+                self.shutdown()
+            elif full_key == self._key:
                 self.stats["reuses"] += 1
                 return self._pool
-            self.stats["key_changes"] += 1
-            self.shutdown()
+            else:
+                self.stats["key_changes"] += 1
+                self.shutdown()
         payload = payload_factory()
         ctx = _pool_context(start_method)
         # Work queues are born with the pool (same mp context, shipped
-        # through the initializer — the one channel Queues may travel)
-        # so a warm pool can serve future-per-task and stealing dispatch
-        # interchangeably without a rebuild.  Unused queues cost two fd
-        # pairs; feeder threads start only on first put.
+        # through the initializer — the one channel Queues may travel).
         self._queues = (ctx.Queue(), ctx.Queue())
         self._pool = _cf.ProcessPoolExecutor(
             max_workers=num_workers,
@@ -856,6 +896,7 @@ def shutdown_shared_pool() -> None:
 
 __all__ = [
     "PoolManager",
+    "TaskTimeoutError",
     "execution_key",
     "shared_pool_manager",
     "shutdown_shared_pool",

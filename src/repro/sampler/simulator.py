@@ -272,8 +272,9 @@ class Simulator:
         Argument validation and compilation happen eagerly at call time;
         only the execution is lazy.
 
-        An abandoned iterator (``close()``, early ``break``) cancels
-        what it can and releases every shared-memory result plane —
+        An abandoned iterator (``close()``, early ``break``) drops its
+        unstarted tasks, waits only for the ones in flight, keeps the
+        warm pool, and releases every shared-memory result plane —
         streaming never leaks segments.  A pooled executor configured
         with ``task_timeout`` raises
         :class:`~repro.sampler.executors.TaskTimeoutError` from the
@@ -320,11 +321,11 @@ class Simulator:
         repetitions: int,
         scope: str,
     ):
-        """Shared sweep engine: one ``(records, bits)`` pair per resolver.
+        """Sweep engine: a sweep is a one-program batch.
 
-        Returns an *iterator* that yields points lazily in point order
-        (the streaming substrate of :meth:`run_sweep_iter`); validation
-        and compilation are eager.
+        Returns an *iterator* that yields one ``(records, bits)`` pair per
+        resolver, lazily and in point order (the streaming substrate of
+        :meth:`run_sweep_iter`); validation and compilation are eager.
         """
         request = normalize_run_request(self.executor, repetitions, scope)
         params = list(params)
@@ -335,23 +336,8 @@ class Simulator:
             # circuit, which cannot be resolved without a resolver.
             return iter(())
         program = self.compile(circuit)
-        if request.fan_points:
-            return self.executor.execute_sweep_iter(
-                self, program, params, repetitions
-            )
-        if request.serial_point_streams:
-            # Explicit point scope without a point-fanning executor: one
-            # in-process stream per point — the serial contract pooled
-            # point scope reproduces bit-for-bit.
-            from .executors import _dispatch
-
-            return (
-                _dispatch(self, plan, repetitions, rng, ctx)
-                for plan, rng, ctx in self._sweep_plans(program, params)
-            )
-        return (
-            self._execute_plan(plan, repetitions, rng, ctx)
-            for plan, rng, ctx in self._sweep_plans(program, params)
+        return self._point_parts(
+            request, [program] * len(params), params, repetitions
         )
 
     def run_batch(
@@ -404,45 +390,58 @@ class Simulator:
         semantics as :meth:`run_batch` — ``list(run_batch_iter(...))``
         equals ``run_batch(...)`` bit-for-bit; results stream strictly
         in batch order as points finish (see :meth:`run_sweep_iter` for
-        the streaming and cleanup contract).  Validation and compilation
-        are eager; execution is lazy.
+        the streaming and cleanup contract).  Validation is eager, and so
+        is compilation when the batch fans across a pool (the workers
+        need the whole program table); execution is lazy.
         """
-        if params is not None and len(params) != len(circuits):
+        circuits = list(circuits)
+        resolvers = (
+            list(params) if params is not None else [None] * len(circuits)
+        )
+        if len(resolvers) != len(circuits):
             raise ValueError(
-                f"Got {len(circuits)} circuits but {len(params)} resolvers"
+                f"Got {len(circuits)} circuits but {len(resolvers)} resolvers"
             )
         request = normalize_run_request(self.executor, repetitions, scope)
-        resolvers = list(params) if params is not None else [None] * len(circuits)
-        if request.fan_points and circuits:
+        if request.fan_points:
             programs = [self.compile(circuit) for circuit in circuits]
-            parts = self.executor.execute_batch_iter(
+        else:
+            # Serial points compile as they run, so the first point does
+            # not wait for the whole batch to compile.
+            programs = map(self.compile, circuits)
+        parts = self._point_parts(request, programs, resolvers, repetitions)
+        return (self._batch_result(records) for records, _ in parts)
+
+    def _point_parts(self, request, programs, resolvers, repetitions):
+        """One ``(records, bits)`` per (program, resolver) point, lazily.
+
+        The shared engine of sweeps and batches.  Point ``i`` always runs
+        off ``SeedSequence([seed, i])`` with batched-engine anchor
+        ``(base, i, 0)``: fanned across a point-capable executor's pool,
+        as one in-process stream per point (explicit point scope without
+        one — the serial contract pooled point scope reproduces
+        bit-for-bit), or through the executor's own repetition geometry.
+        """
+        if request.fan_points:
+            return self.executor.execute_batch_iter(
                 self, programs, resolvers, repetitions
             )
-            return (self._batch_result(records) for records, _ in parts)
+        run = (
+            self._run_plan
+            if request.serial_point_streams
+            else self._execute_plan
+        )
         base = self._sweep_base_seed()
 
         def stream():
-            for index, circuit in enumerate(circuits):
-                plan = self.compile(circuit).specialize(resolvers[index])
+            for index, (program, resolver) in enumerate(
+                zip(programs, resolvers)
+            ):
+                plan = program.specialize(resolver)
                 rng = np.random.default_rng(
                     np.random.SeedSequence([base, index])
                 )
-                ctx = (base, index, 0)
-                if request.serial_point_streams:
-                    # Explicit point scope without a point-fanning
-                    # executor: one in-process stream per circuit — the
-                    # serial contract pooled batches reproduce
-                    # bit-for-bit (mirrors the same branch in
-                    # _sweep_parts), never the executor's own
-                    # repetition-chunk geometry.
-                    from .executors import _dispatch
-
-                    records, _ = _dispatch(self, plan, repetitions, rng, ctx)
-                else:
-                    records, _ = self._execute_plan(
-                        plan, repetitions, rng, ctx
-                    )
-                yield self._batch_result(records)
+                yield run(plan, repetitions, rng, (base, index, 0))
 
         return stream()
 
@@ -560,19 +559,6 @@ class Simulator:
         from .executors import _base_seed
 
         return _base_seed(self.seed)
-
-    def _sweep_plans(self, program: Program, params):
-        """Yield (plan, per-point rng, batched ctx) triples for a sweep.
-
-        ``ctx = (base, point, 0)`` matches the pooled point-scope recipe,
-        so serial and pooled sweeps agree bit-for-bit in batched mode
-        exactly as they do in serial mode.
-        """
-        base = self._sweep_base_seed()
-        for index, resolver in enumerate(params):
-            plan = program.specialize(resolver)
-            rng = np.random.default_rng(np.random.SeedSequence([base, index]))
-            yield plan, rng, (base, index, 0)
 
     def _candidate_loop(
         self, state, bits: Sequence[int], support: Sequence[int]

@@ -410,3 +410,31 @@ class TestRequestNormalizer:
         sim = self._sim()
         with pytest.raises(ValueError, match="resolvers"):
             sim.run_batch([clifford_circuit()], params=[None, None])
+
+    @pytest.mark.parametrize("make_executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "as_input", [list, tuple, iter], ids=["list", "tuple", "generator"]
+    )
+    def test_batch_inputs_accept_any_iterable(self, make_executor, as_input):
+        """``circuits``/``params`` may be any iterable, as for
+        ``run_sweep``; a length mismatch keeps the named error."""
+        executor = make_executor()
+        sim = self._sim(executor=executor)
+        circuits = [clifford_circuit(), parameterized_circuit()]
+        params = [None, {"theta": 0.4}]
+        try:
+            with pytest.raises(ValueError, match="2 circuits but 1 resolvers"):
+                sim.run_batch(as_input(circuits), params=as_input(params[:1]))
+            expected = sim.run_batch(circuits, params=params, repetitions=6)
+            for run in (sim.run_batch, sim.run_batch_iter):
+                got = list(
+                    run(as_input(circuits), as_input(params), repetitions=6)
+                )
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    np.testing.assert_array_equal(
+                        a.measurements["m"], b.measurements["m"]
+                    )
+        finally:
+            if isinstance(executor, ProcessPoolExecutor):
+                executor.pool_manager.shutdown()

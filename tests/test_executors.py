@@ -185,15 +185,36 @@ class TestPooledExecutor:
         tv = 0.5 * np.abs(hist(pooled) - hist(bare)).sum()
         assert tv < 0.08
 
-    def test_task_payload_is_two_integers(self):
-        """The O(1)-startup contract: the per-task payload carries no
-        circuit, no plan, and no state — just (chunk_size, chunk_seed)
-        plus the batched engine's three-integer seeding anchor."""
-        from repro.sampler.executors import _run_pool_chunk
-        import inspect
+    def test_task_payload_is_indices_and_seeds(self):
+        """The O(1)-startup contract: a pulled task carries no circuit, no
+        plan, and no state — a unit index, a resolver, the chunk size, its
+        integer seed, and the batched engine's three-integer anchor."""
+        import pickle
 
-        params = list(inspect.signature(_run_pool_chunk).parameters)
-        assert params == ["size", "seed", "ctx"]
+        shipped = []
+        with PoolManager() as manager:
+            original = manager.pull
+
+            def spying_pull(key, workers, sm, pf, argses, **kw):
+                shipped.extend(argses)
+                return original(key, workers, sm, pf, argses, **kw)
+
+            manager.pull = spying_pull
+            make_sim(
+                seed=3,
+                executor=ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method="fork",
+                    pool_manager=manager,
+                    result_transport="pickle",
+                ),
+            ).sample_bitstrings(noisy_bell_circuit(), repetitions=10)
+        assert len(shipped) == 2
+        for unit_index, resolver, size, entropy, ctx in shipped:
+            assert (unit_index, resolver) == (0, None)
+            assert all(isinstance(v, int) for v in (size, entropy, *ctx))
+        assert sum(args[2] for args in shipped) == 10
+        assert max(len(pickle.dumps(args)) for args in shipped) < 100
 
     def test_worker_payload_ships_plan_and_state_once(self):
         sim = make_sim(seed=31)
@@ -302,28 +323,28 @@ class TestPoolContext:
         assert ProcessPoolExecutor(num_workers=2).start_method is None
 
 
-class TestProbeOverlap:
-    """Regression: the probe must overlap with the rest of the batch.
+class _RecordingScheduler(AdaptiveScheduler):
+    """Adaptive scheduler that keeps every calibration sample it gets."""
 
-    The old probe path submitted the probe task alone, blocked on its
-    result (idling every other worker), and only then submitted the
-    remaining tasks.  The fixed path makes ONE submission covering the
-    whole batch and calibrates from the probe future's completion
-    callback while the other workers are already busy.
-    """
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.samples = []
 
-    def test_probe_submits_once_covering_all_tasks(self):
-        calls = []
+    def calibrate(self, cost, seconds, backend=None, num_qubits=None):
+        self.samples.append((cost, seconds, backend, num_qubits))
+        super().calibrate(cost, seconds, backend=backend, num_qubits=num_qubits)
+
+
+class TestPulledTaskCalibration:
+    """Every pulled task calibrates the scheduler — there is no timing
+    probe.  Each worker reports the measured duration of each task it
+    ran, and the executor hands every one to ``Scheduler.calibrate``
+    with the task's static cost and calibration bucket."""
+
+    def test_every_pulled_task_calibrates(self):
+        scheduler = _RecordingScheduler()
         with PoolManager() as manager:
-            original = manager.submit
-
-            def spying_submit(key, workers, sm, pf, fn, argses, planes=()):
-                calls.append((fn.__name__, len(argses)))
-                return original(key, workers, sm, pf, fn, argses, planes=planes)
-
-            manager.submit = spying_submit
-            scheduler = AdaptiveScheduler(probe=True)
-            sim = make_sim(
+            make_sim(
                 seed=37,
                 executor=ProcessPoolExecutor(
                     num_workers=2,
@@ -331,20 +352,27 @@ class TestProbeOverlap:
                     pool_manager=manager,
                     scheduler=scheduler,
                 ),
-            )
-            sim.run_batch([bell_circuit() for _ in range(3)], repetitions=8)
-        task_calls = [c for c in calls if c[0] != "_warm_worker"]
-        assert len(task_calls) == 1, calls
-        assert task_calls[0][1] == 3, calls
-        # The probe still calibrated, from its completion callback.
+            ).run_batch([bell_circuit() for _ in range(3)], repetitions=8)
+        tasks = scheduler.last_schedule["_tasks"]
+        assert len(scheduler.samples) == len(tasks) == 3
+        assert sorted(cost for cost, *_ in scheduler.samples) == sorted(
+            t.cost for t in tasks
+        )
+        for _, seconds, backend, num_qubits in scheduler.samples:
+            assert seconds >= 0
+            assert backend == "StateVectorSimulationState"
+            assert num_qubits == 2
         assert scheduler.seconds_per_cost is not None
         assert scheduler.seconds_per_cost > 0
+        assert scheduler.last_schedule["estimated_seconds"] is not None
 
-    def test_probe_output_matches_probeless_run(self):
-        circuits = [bell_circuit() for _ in range(3)]
+    def test_pulled_tasks_record_into_calibration_table(self, tmp_path):
+        from repro.sampler.calibration import CalibrationTable
 
-        def run(scheduler, manager):
-            return make_sim(
+        table = CalibrationTable(path=str(tmp_path / "calibration.json"))
+        scheduler = _RecordingScheduler(calibration=table)
+        with PoolManager() as manager:
+            make_sim(
                 seed=41,
                 executor=ProcessPoolExecutor(
                     num_workers=2,
@@ -352,16 +380,13 @@ class TestProbeOverlap:
                     pool_manager=manager,
                     scheduler=scheduler,
                 ),
-            ).run_batch(circuits, repetitions=12)
-
-        with PoolManager() as m1, PoolManager() as m2:
-            probed = run(AdaptiveScheduler(probe=True), m1)
-            plain = run(AdaptiveScheduler(probe=False), m2)
-        for ra, rb in zip(probed, plain):
-            for key in ra.measurements:
-                np.testing.assert_array_equal(
-                    ra.measurements[key], rb.measurements[key]
-                )
+            ).run_batch([bell_circuit() for _ in range(3)], repetitions=12)
+        assert table.sample_count("StateVectorSimulationState", 2) == len(
+            scheduler.samples
+        )
+        assert CalibrationTable(path=table.path).seconds_per_cost_for(
+            "StateVectorSimulationState", 2
+        ) is not None
 
 
 class TestTaskTimeout:

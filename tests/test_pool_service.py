@@ -11,10 +11,15 @@ The contracts pinned here (the PR's acceptance criteria):
   when the execution key changes (new program, new initial-state
   payload, changed geometry).
 * **Warm/cold equality** — ``reuse_pool=True`` and ``reuse_pool=False``
-  produce identical samples; reuse changes only where startup is paid.
+  produce identical samples under every scheduler and both result
+  transports, in point and repetition scope; reuse changes only where
+  startup is paid.
 * **Clean shutdown** — context-manager and ``atexit`` paths join every
   worker; no leaked processes, and a failed task never leaves a
   poisoned pool behind.
+* **Worker death and abandonment** — a worker killed while idle or
+  mid-run never fails (or poisons) the following call, and an abandoned
+  stream leaves the pool warm with clean queues.
 
 The pooled start method comes from ``BGLS_POOL_START_METHODS``
 (comma-separated; default ``fork``) so CI can run the whole suite under
@@ -23,8 +28,11 @@ The pooled start method comes from ``BGLS_POOL_START_METHODS``
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,7 +41,15 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
+from repro.sampler import (
+    AdaptiveScheduler,
+    FifoScheduler,
+    PoolManager,
+    ProcessPoolExecutor,
+    SerialExecutor,
+    WorkStealingScheduler,
+)
+from repro.sampler.result_planes import live_segment_names
 from repro.sampler.service import execution_key
 from repro.states import (
     CliffordTableauSimulationState,
@@ -137,13 +153,13 @@ def sv_sim(seed, executor=None):
     )
 
 
-def assert_sweeps_equal(a, b):
-    assert len(a) == len(b)
+def assert_sweeps_equal(a, b, label=""):
+    assert len(a) == len(b), label
     for ra, rb in zip(a, b):
-        assert set(ra.measurements) == set(rb.measurements)
+        assert set(ra.measurements) == set(rb.measurements), label
         for key in ra.measurements:
             np.testing.assert_array_equal(
-                ra.measurements[key], rb.measurements[key]
+                ra.measurements[key], rb.measurements[key], err_msg=label
             )
 
 
@@ -584,24 +600,55 @@ class TestHeterogeneousBatch:
         assert_sweeps_equal(serial, chunked)
 
 
+SCHEDULERS = {
+    "fifo": FifoScheduler,
+    "adaptive": lambda: AdaptiveScheduler(oversubscribe=2, min_chunk_repetitions=2),
+    "stealing": lambda: WorkStealingScheduler(min_chunk_repetitions=2),
+}
+TRANSPORTS = ("shm", "pickle")
+
+
+def warm_cold_pairs(manager):
+    """(label, warm executor, cold executor) for every scheduler x
+    result transport: the warm one on ``manager``, the cold one on a
+    scoped pool of its own."""
+    for name, make_scheduler in SCHEDULERS.items():
+        for transport in TRANSPORTS:
+
+            def executor(**kw):
+                return ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method=START_METHODS[0],
+                    scheduler=make_scheduler(),
+                    result_transport=transport,
+                    **kw,
+                )
+
+            yield (
+                f"{name}-{transport}",
+                executor(pool_manager=manager),
+                executor(reuse_pool=False),
+            )
+
+
 class TestWarmColdEquality:
+    """Warm and scoped (``reuse_pool=False``) pools run the same pulled
+    path: identical samples for every scheduler and both transports."""
+
     def test_warm_and_cold_pools_sample_identically(self, manager):
         circuit = parameterized_circuit()
-        warm = sv_sim(
-            31,
-            executor=ProcessPoolExecutor(
-                num_workers=2, start_method=START_METHODS[0], pool_manager=manager
-            ),
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=12, scope="points")
-        cold = sv_sim(
-            31,
-            executor=ProcessPoolExecutor(
-                num_workers=2,
-                start_method=START_METHODS[0],
-                reuse_pool=False,
-            ),
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=12, scope="points")
-        assert_sweeps_equal(warm, cold)
+        serial = sv_sim(31).run_sweep(circuit, PARAM_POINTS, repetitions=12)
+        for label, warm_executor, cold_executor in warm_cold_pairs(manager):
+            warm = sv_sim(31, executor=warm_executor).run_sweep(
+                circuit, PARAM_POINTS, repetitions=12, scope="points"
+            )
+            cold = sv_sim(31, executor=cold_executor).run_sweep(
+                circuit, PARAM_POINTS, repetitions=12, scope="points"
+            )
+            assert_sweeps_equal(warm, cold, label)
+            if label.startswith("fifo"):
+                assert_sweeps_equal(serial, warm, label)
+        assert live_segment_names() == []
 
     def test_warm_and_cold_execute_identically(self, manager):
         circuit = clifford_circuit()
@@ -615,17 +662,12 @@ class TestWarmColdEquality:
                 executor=executor,
             ).sample_bitstrings(circuit, repetitions=32)
 
-        warm = run(
-            ProcessPoolExecutor(
-                num_workers=2, start_method=START_METHODS[0], pool_manager=manager
-            )
-        )
-        cold = run(
-            ProcessPoolExecutor(
-                num_workers=2, start_method=START_METHODS[0], reuse_pool=False
-            )
-        )
-        np.testing.assert_array_equal(warm, cold)
+        chunked = run(SerialExecutor(chunks=2))
+        for label, warm_executor, cold_executor in warm_cold_pairs(manager):
+            warm = run(warm_executor)
+            np.testing.assert_array_equal(warm, run(cold_executor), err_msg=label)
+            np.testing.assert_array_equal(warm, chunked, err_msg=label)
+        assert live_segment_names() == []
 
 
 class TestLifecycle:
@@ -724,6 +766,45 @@ class TestLifecycle:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_runs_on_one_manager_take_turns(self, manager):
+        """Runs share the pool's queues: a run from another thread waits
+        its turn, and a second open run in one thread is refused."""
+        import threading
+
+        circuit = parameterized_circuit()
+        serial = sv_sim(73).run_sweep(circuit, PARAM_POINTS, repetitions=8)
+        sim = sv_sim(
+            73,
+            executor=ProcessPoolExecutor(
+                num_workers=2, start_method=START_METHODS[0], pool_manager=manager
+            ),
+        )
+        outputs = []
+        threads = [
+            threading.Thread(
+                target=lambda: outputs.append(
+                    sim.run_sweep(circuit, PARAM_POINTS, repetitions=8)
+                )
+            )
+            for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(outputs) == 3
+        for output in outputs:
+            assert_sweeps_equal(serial, output)
+
+        stream = sim.run_sweep_iter(circuit, PARAM_POINTS, repetitions=8)
+        next(stream)
+        with pytest.raises(RuntimeError, match="close"):
+            sim.run_sweep(circuit, PARAM_POINTS, repetitions=8)
+        stream.close()
+        assert_sweeps_equal(
+            serial, sim.run_sweep(circuit, PARAM_POINTS, repetitions=8)
+        )
+
     def test_worker_pids_survive_shutdown_for_audits(self, manager):
         circuit = parameterized_circuit()
         sim = sv_sim(
@@ -736,3 +817,99 @@ class TestLifecycle:
         live = manager.worker_pids()
         manager.shutdown()
         assert manager.worker_pids() == live
+
+
+def noisy_circuit():
+    """A trajectory-mode circuit slow enough (~0.1 s per 20-repetition
+    point) that a pooled sweep over it is still running when a test acts
+    on its workers."""
+    from repro.circuits import channels
+
+    circuit = cirq.Circuit()
+    for _ in range(6):
+        circuit.append(cirq.H(QUBITS[0]))
+        circuit.append(channels.depolarize(0.05).on(QUBITS[0]))
+        circuit.append(cirq.CNOT(QUBITS[0], QUBITS[1]))
+        circuit.append(cirq.CNOT(QUBITS[1], QUBITS[2]))
+    circuit.append(cirq.measure(*QUBITS, key="m"))
+    return circuit
+
+
+SLOW_POINTS = [None] * 16
+SLOW_REPS = 20
+
+
+class TestWorkerFailures:
+    """A dead worker or an abandoned stream: every later call succeeds,
+    matches an undisturbed run (the serial run, under FIFO), and no
+    shared-memory segment survives."""
+
+    @pytest.fixture(params=["fifo", "stealing"])
+    def scheduler_name(self, request):
+        return request.param
+
+    def executor(self, scheduler_name, manager):
+        return ProcessPoolExecutor(
+            num_workers=2,
+            start_method=START_METHODS[0],
+            pool_manager=manager,
+            scheduler=SCHEDULERS[scheduler_name](),
+        )
+
+    def undisturbed(self, scheduler_name, seed):
+        circuit = noisy_circuit()
+        with PoolManager() as other:
+            reference = sv_sim(
+                seed, executor=self.executor(scheduler_name, other)
+            ).run_sweep(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        if scheduler_name == "fifo":
+            serial = sv_sim(seed).run_sweep(
+                circuit, SLOW_POINTS, repetitions=SLOW_REPS
+            )
+            assert_sweeps_equal(serial, reference)
+        return reference
+
+    def test_worker_killed_while_idle_is_not_reused(
+        self, manager, scheduler_name
+    ):
+        circuit = noisy_circuit()
+        sim = sv_sim(61, executor=self.executor(scheduler_name, manager))
+        sim.run_sweep(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        os.kill(manager.worker_pids()[0], signal.SIGKILL)
+        time.sleep(0.5)
+        again = sim.run_sweep(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        assert manager.stats["inits"] == 2
+        assert_sweeps_equal(self.undisturbed(scheduler_name, 61), again)
+        assert live_segment_names() == []
+
+    def test_worker_killed_mid_run_raises_then_recovers(
+        self, manager, scheduler_name
+    ):
+        circuit = noisy_circuit()
+        sim = sv_sim(67, executor=self.executor(scheduler_name, manager))
+        stream = sim.run_sweep_iter(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        next(stream)
+        os.kill(manager.worker_pids()[0], signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            list(stream)
+        assert live_segment_names() == []
+        again = sim.run_sweep(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        assert manager.stats["inits"] == 2
+        assert_sweeps_equal(self.undisturbed(scheduler_name, 67), again)
+        assert live_segment_names() == []
+
+    def test_abandoned_stream_keeps_pool_warm(self, manager, scheduler_name):
+        """close() retires only the abandoned run: its unstarted tasks
+        leave the shared queue, in-flight ones are awaited, and the next
+        identical call reuses the warm pool with clean queues."""
+        circuit = noisy_circuit()
+        sim = sv_sim(71, executor=self.executor(scheduler_name, manager))
+        stream = sim.run_sweep_iter(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        next(stream)
+        stream.close()
+        assert live_segment_names() == []
+        again = sim.run_sweep(circuit, SLOW_POINTS, repetitions=SLOW_REPS)
+        assert manager.stats["inits"] == 1
+        assert manager.stats["reuses"] == 1
+        assert_sweeps_equal(self.undisturbed(scheduler_name, 71), again)
+        assert live_segment_names() == []

@@ -417,24 +417,20 @@ class TestSegmentLifecycle:
         assert live_segment_names() == []
 
     def test_manager_shutdown_is_segment_backstop(self, manager):
-        from repro.sampler.service import (
-            _WorkerPayload,
-            _warm_worker,
-            execution_key,
-        )
+        from repro.sampler.service import _WorkerPayload, execution_key
 
         plane = PointPlanes({"m": (0, 1, 2)}, N, 8)
         simulator = sv_sim(1)
         program = simulator.compile(parameterized_circuit())
-        manager.run(
+        pulled = manager.pull(
             execution_key(simulator, program=program),
             1,
             START_METHODS[0],
             lambda: _WorkerPayload(simulator, program=program),
-            _warm_worker,
-            [()],
+            [],
             planes=(plane,),
         )
+        assert list(pulled) == []
         assert plane.name in live_segment_names()
         manager.shutdown()
         assert live_segment_names() == []

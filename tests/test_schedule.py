@@ -384,7 +384,10 @@ class TestAdaptiveParity:
                     records[key], result.measurements[key]
                 )
 
-    def test_probe_calibrates_without_changing_output(self, manager):
+    def test_calibration_does_not_change_output(self, manager):
+        """Every pulled task calibrates the scheduler's scale; a run
+        scheduled with a calibrated scale samples exactly like one
+        scheduled cold."""
         circuits = [clifford_circuit(d) for d in (1, 8, 1, 1)]
 
         def run(scheduler, mgr):
@@ -400,10 +403,12 @@ class TestAdaptiveParity:
                 ),
             ).run_batch(circuits, repetitions=16)
 
-        probing = AdaptiveScheduler(probe=True)
-        with_probe = run(probing, manager)
-        assert probing.seconds_per_cost is not None
-        assert probing.last_schedule["estimated_seconds"] is not None
+        calibrated = AdaptiveScheduler()
+        first = run(calibrated, manager)
+        assert calibrated.seconds_per_cost is not None
+        assert calibrated.last_schedule["estimated_seconds"] is not None
+        second = run(calibrated, manager)
         with PoolManager() as other:
-            without = run(AdaptiveScheduler(probe=False), other)
-        assert_results_equal(with_probe, without)
+            cold = run(AdaptiveScheduler(), other)
+        assert_results_equal(first, cold)
+        assert_results_equal(second, cold)

@@ -6,10 +6,9 @@ worker pull any task at runtime, but the task *list* — chunk geometry
 and per-chunk ``SeedSequence([seed, point, chunk])`` streams — is a
 deterministic function of static inputs, so stealing output must be
 bit-for-bit identical to the serial path (unsplit schedules), to an
-in-process replay of the same schedule (split schedules), and to
-future-per-task :class:`~repro.sampler.schedule.AdaptiveScheduler`
-dispatch of the same geometry — on all five backends, both transports,
-every start method.
+in-process replay of the same schedule (split schedules), and to an
+:class:`~repro.sampler.schedule.AdaptiveScheduler` run of the same
+geometry — on all five backends, both transports, every start method.
 """
 
 import numpy as np
@@ -147,8 +146,6 @@ def manager():
 
 class TestWorkStealingGeometry:
     def test_flags_and_validation(self):
-        assert WorkStealingScheduler().work_stealing is True
-        assert AdaptiveScheduler().work_stealing is False
         assert WorkStealingScheduler().granularity == 4
         with pytest.raises(ValueError, match="granularity"):
             WorkStealingScheduler(granularity=0)
@@ -296,9 +293,8 @@ class TestWorkStealingParity:
     def test_stealing_equals_adaptive_dispatch(
         self, manager, make_state, prob_fn
     ):
-        """Same geometry knobs, different dispatch (shared queue vs one
-        future per task): output must be identical — dispatch is pure
-        placement."""
+        """Same geometry knobs, different scheduler class: output must be
+        identical — placement never changes samples."""
         circuits = [clifford_circuit(d) for d in (1, 1, 12, 1)]
 
         def run(scheduler, mgr):
@@ -429,9 +425,9 @@ class TestWorkStealingParity:
         assert_results_equal(serial, inproc)
 
     def test_streaming_early_close_cleans_up(self, manager):
-        """Abandoning a stealing iterator mid-drain retires the pool
-        (stale queue items must not leak into the next run) and unlinks
-        every result plane — then the next run rebuilds and matches."""
+        """Abandoning a stealing iterator mid-drain leaves no stale queue
+        item for the next run and unlinks every result plane — then the
+        next run matches."""
         circuits = [clifford_circuit(2) for _ in range(4)]
         sim = make_sim(
             lambda: StateVectorSimulationState(QUBITS),

@@ -153,17 +153,10 @@ def batched_trajectories_state_vector():
 
 
 def batched_trajectories_stabilizer_state():
-    """Adapter factory: stacked ``(B, n, W)`` CH-form word arrays."""
-    from ..sampler.trajectory_batch import BatchedChForms
+    """Adapter factory: a ``stack(B)`` of either stabilizer engine."""
+    from ..sampler.trajectory_batch import BatchedStabilizers
 
-    return BatchedChForms
-
-
-def batched_trajectories_tableau():
-    """Adapter factory: stacked ``(B, 2n+1, W)`` tableau word arrays."""
-    from ..sampler.trajectory_batch import BatchedTableaus
-
-    return BatchedTableaus
+    return BatchedStabilizers
 
 
 # Shipped-backend registrations: one descriptor per backend, declaring the
@@ -207,7 +200,7 @@ registry.register_backend(
     candidates_many=candidates_tableau_many,
     snapshot=_tableau.snapshot_tableau_state,
     restore=_tableau.restore_tableau_state,
-    batched_trajectories=batched_trajectories_tableau,
+    batched_trajectories=batched_trajectories_stabilizer_state,
 )
 registry.register_backend(
     MPSState,
@@ -273,5 +266,4 @@ __all__ = [
     "many_candidate_function_for",
     "batched_trajectories_state_vector",
     "batched_trajectories_stabilizer_state",
-    "batched_trajectories_tableau",
 ]

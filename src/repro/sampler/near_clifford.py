@@ -23,7 +23,8 @@ from typing import Tuple
 from ..circuits.gates import ZPowGate
 from ..circuits.operations import GateOperation
 from ..protocols.stabilizer import has_stabilizer_effect, stabilizer_sequence
-from ..states.stabilizer import StabilizerChFormSimulationState
+from ..states.base import apply_primitives
+from ..states.stabilizer import StabilizerSimulationState
 
 
 def rotation_branch_weights(theta: float) -> Tuple[float, float]:
@@ -76,9 +77,11 @@ def stabilizer_extent_circuit(circuit) -> float:
 
 
 def act_on_near_clifford(
-    op: GateOperation, state: StabilizerChFormSimulationState
+    op: GateOperation, state: StabilizerSimulationState
 ) -> None:
     """Apply ``op`` to a stabilizer state, expanding Rz gates stochastically.
+
+    Works on either stabilizer backend (CH form or tableau).
 
     Clifford operations (checked via :func:`has_stabilizer_effect`) apply
     exactly; ``ZPowGate`` rotations choose I or S following the relative
@@ -98,7 +101,7 @@ def act_on_near_clifford(
         total = c_i + c_s
         axis = state.axes_of(op.qubits)[0]
         if state.rng.random() < c_s / total:
-            state.ch_form.apply_s(axis)
+            apply_primitives(state.engine, [("S", (0,))], [axis])
         # I branch: nothing to apply.
         return
     if has_stabilizer_effect(op):

@@ -28,6 +28,8 @@ from ..circuits.channels import (
 )
 from ..circuits.operations import GateOperation
 from ..protocols.act_on import act_on
+from ..states.base import apply_primitives
+from ..states.stabilizer import StabilizerSimulationState
 from .near_clifford import act_on_near_clifford
 
 # Channel type -> (pauli names, probability builder).
@@ -55,18 +57,12 @@ _PAULI_MATRICES = {
 def _apply_sampled_pauli(state, axis: int, name: str) -> None:
     if name == "I":
         return
-    engine = getattr(state, "ch_form", None) or getattr(state, "tableau", None)
-    if engine is None:
+    if isinstance(state, StabilizerSimulationState):
+        apply_primitives(state.engine, [(name, (0,))], [axis])
+    else:
         # Non-stabilizer states (dense, MPS) take the generic unitary path,
         # so the same apply_op works across every backend.
         state.apply_unitary(_PAULI_MATRICES[name], [axis])
-        return
-    if name == "X":
-        engine.apply_x(axis)
-    elif name == "Y":
-        engine.apply_y(axis)
-    elif name == "Z":
-        engine.apply_z(axis)
 
 
 def _try_pauli_channel(op: GateOperation, state) -> bool:

@@ -8,12 +8,12 @@ computation** instead:
 
 * the state is a stack of ``B`` trajectory states — the dense backend as a
   ``(B, 2, ..., 2)`` amplitude tile, the stabilizer backends as
-  ``(B, rows, words)`` packed GF(2) word stacks
-  (:class:`~repro.states.tableau.StackedCliffordTableaus`,
-  :class:`~repro.states.chform.StackedChForms`);
+  ``(B, rows, words)`` packed GF(2) word stacks — ``engine.stack(B)`` of
+  either engine, driven by one adapter, :class:`BatchedStabilizers`;
 * every plan record applies across the batch axis in one call: unitaries
-  broadcast via ``tensordot``, Clifford primitives as stacked column
-  passes, candidate probabilities as one batched gather;
+  broadcast via ``tensordot``, Clifford records and fused moments through
+  the scalar states' own dispatch (:mod:`repro.states.base`) on the
+  stack, candidate probabilities as one batched gather;
 * bit resampling replaces ``B`` scalar multinomials with one vectorized
   cumulative-sum/searchsorted pass over a ``(B, 2^k)`` probability matrix;
 * Kraus branching draws all ``B`` branch choices at once and applies each
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..states.base import candidate_index_matrix
+from ..states.base import apply_moment, apply_sequence, candidate_index_matrix
 from .plan import ExecutionPlan, FusedOpRecord, OpRecord
 
 #: Soft cap on the dense tile's amplitude memory (bytes).  The engine
@@ -261,19 +261,19 @@ class BatchedStateVector:
         return probses[choice, rows]
 
 
-class _StackedStabilizerAdapter:
-    """Shared shape of the two stacked stabilizer adapters.
+class BatchedStabilizers:
+    """A ``stack(B)`` of either stabilizer engine for the batched engine.
 
-    Clifford word passes and fused moments broadcast over the batch in
-    one call; measurement-adjacent operations (projection chains,
-    candidate recursions for the tableau) branch per trajectory and run
-    through zero-copy scalar views.
+    The stack runs the scalar engine's own kernels and dispatch
+    (:func:`~repro.states.base.apply_sequence` /
+    :func:`~repro.states.base.apply_moment`), so every Clifford record
+    and fused moment is one pass over all ``B`` trajectories.  The stack
+    also answers the candidate and projection queries, branching per
+    trajectory where its formalism needs to.
     """
 
-    def __init__(self, stack, num_qubits: int):
+    def __init__(self, stack):
         self.stack = stack
-        self.n = num_qubits
-        self.batch = stack.batch
 
     @classmethod
     def supports_plan(cls, plan: ExecutionPlan) -> bool:
@@ -287,6 +287,10 @@ class _StackedStabilizerAdapter:
         return True
 
     @classmethod
+    def from_state(cls, state, batch: int) -> "BatchedStabilizers":
+        return cls(state.engine.stack(batch))
+
+    @classmethod
     def tile_size(
         cls, state, repetitions: int, override: Optional[int]
     ) -> int:
@@ -296,54 +300,9 @@ class _StackedStabilizerAdapter:
 
     def apply_record(self, plan: ExecutionPlan, rec) -> None:
         if type(rec) is FusedOpRecord:
-            self.stack.apply_single_qubit_moment(rec.seqs, rec.axes)
+            apply_moment(self.stack, rec.seqs, rec.axes)
         else:
-            self.stack.apply_stabilizer_sequence(rec.stab_seq, rec.support)
-
-    def apply_kraus(self, kraus, support, bits, u_branch):
-        raise NotImplementedError(  # pragma: no cover - supports_plan gates
-            "Stabilizer stacks cannot branch Kraus channels"
-        )
-
-
-class BatchedTableaus(_StackedStabilizerAdapter):
-    """Stacked Aaronson-Gottesman tableaus for the batched engine."""
-
-    @classmethod
-    def from_state(cls, state, batch: int) -> "BatchedTableaus":
-        return cls(state.tableau.stack(batch), state.num_qubits)
-
-    def candidate_probabilities(
-        self, bits: np.ndarray, support: Sequence[int]
-    ) -> np.ndarray:
-        # Candidate chains replay measurement recursions per trajectory;
-        # the word-op gate passes stay batched.
-        out = np.empty((self.batch, 2 ** len(support)))
-        for b in range(self.batch):
-            out[b] = self.stack.view(b).candidate_probabilities(
-                bits[b], support
-            )
-        return out
-
-    def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
-        for b in range(self.batch):
-            view = self.stack.view(b)
-            for pos, axis in enumerate(support):
-                if view.project_measurement(
-                    axis, int(outcomes[b, pos])
-                ) == 0.0:
-                    raise ValueError(
-                        f"Projection of qubit axis {axis} onto "
-                        f"{int(outcomes[b, pos])} has zero probability"
-                    )
-
-
-class BatchedChForms(_StackedStabilizerAdapter):
-    """Stacked CH forms for the batched engine."""
-
-    @classmethod
-    def from_state(cls, state, batch: int) -> "BatchedChForms":
-        return cls(state.ch_form.stack(batch), state.num_qubits)
+            apply_sequence(self.stack, rec.stab_seq, rec.support)
 
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
@@ -351,13 +310,12 @@ class BatchedChForms(_StackedStabilizerAdapter):
         return self.stack.candidate_probabilities(bits, support)
 
     def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
-        # The scalar CH kernels rebind sw/omega, so each per-trajectory
-        # projection writes those two back into the stack.
-        for b in range(self.batch):
-            view = self.stack.view(b)
-            for pos, axis in enumerate(support):
-                view.project_measurement(axis, int(outcomes[b, pos]))
-            self.stack.store(b, view)
+        self.stack.project(support, outcomes)
+
+    def apply_kraus(self, kraus, support, bits, u_branch):
+        raise NotImplementedError(  # pragma: no cover - supports_plan gates
+            "Stabilizer stacks cannot branch Kraus channels"
+        )
 
 
 def run_batched_trajectories(

@@ -128,6 +128,69 @@ def candidate_index_matrix(
     return base_idx[:, None] + offsets[None, :]
 
 
+# -- Clifford primitive dispatch (both stabilizer engines) --------------------
+#
+# A Clifford gate's ``_stabilizer_sequence_`` is ``(phase, [(name,
+# local_axes)])``.  Every stabilizer engine — the CH form, the tableau, and
+# the ``stack(B)`` of either — exposes the same ``apply_<name>`` kernels,
+# an ``apply_phase`` (its formalism's phase rule) and an
+# ``apply_single_qubit_layer``, so these three helpers are the only
+# dispatch the scalar states and the batched trajectory engine share.
+
+_PRIMITIVE_KERNELS = {
+    "H": "apply_h",
+    "S": "apply_s",
+    "SDG": "apply_sdg",
+    "X": "apply_x",
+    "Y": "apply_y",
+    "Z": "apply_z",
+    "CX": "apply_cx",
+    "CZ": "apply_cz",
+}
+
+
+def apply_primitives(engine, prims, axes: Sequence[int]) -> None:
+    """Apply ``[(name, local_axes)]`` Clifford primitives to ``engine``.
+
+    ``local_axes`` index into ``axes``.  An unknown name raises
+    ``ValueError`` naming it.
+    """
+    for name, local in prims:
+        kernel = _PRIMITIVE_KERNELS.get(name)
+        if kernel is None:
+            raise ValueError(f"Unknown stabilizer primitive {name!r}")
+        getattr(engine, kernel)(*[axes[i] for i in local])
+
+
+def apply_sequence(engine, seq, axes: Sequence[int]) -> None:
+    """Apply one ``(phase, primitives)`` decomposition, phase last."""
+    phase, prims = seq
+    apply_primitives(engine, prims, axes)
+    engine.apply_phase(phase)
+
+
+def apply_moment(engine, seqs, axes: Sequence[int]) -> None:
+    """Apply a fused moment of single-qubit gates on disjoint ``axes``.
+
+    ``seqs[i]`` is ``(phase, [name, ...])`` for the gate on ``axes[i]``
+    (the :class:`~repro.sampler.plan.FusedOpRecord` layout).  The phases
+    go first; the primitives are then layered — the j-th primitive of
+    every gate together — and each layer is one
+    ``engine.apply_single_qubit_layer(names, cols)`` call.
+    """
+    for phase, _ in seqs:
+        engine.apply_phase(phase)
+    depth = max(len(prims) for _, prims in seqs)
+    for layer in range(depth):
+        names = []
+        cols = []
+        for (_, prims), axis in zip(seqs, axes):
+            if layer < len(prims):
+                names.append(prims[layer])
+                cols.append(axis)
+        engine.apply_single_qubit_layer(names, cols)
+
+
 def bits_to_index(bits: Sequence[int]) -> int:
     """Big-endian bits -> integer index (qubit 0 is the most significant)."""
     index = 0

@@ -21,7 +21,16 @@ arrays with column ``c`` at bit ``c & 63`` of word ``c >> 6`` — and the
 (``M[q] ^= G[r]``, the amplitude query's generator accumulation) are
 ``O(n/64)`` word XORs; parity counts are word popcounts; phase powers are
 tracked as integers mod 4 rather than complex scalars.  ``F``/``G``/``M``
-/``v``/``s`` properties unpack to the textbook ``bool`` form.  The
+/``v``/``s`` properties unpack to the textbook ``bool`` form.
+
+:class:`StackedChForms` is ``B`` forms stacked on a leading axis for the
+batched trajectory engine.  It keeps its own batched row kernels (the
+scalar kernels index rows directly, which is measurably faster than a
+rank-generic ``[..., q, :]``) and shares the rest with the scalar form
+through ``_ChKernels``: the phase rule (a gate's global phase multiplies
+into ``omega``), Y, the batched Z, fused single-qubit layers, and the
+candidate support-membership test.  The
+
 pre-packing implementation is retained as
 :class:`repro.states.reference.UnpackedStabilizerChForm` and property
 tests assert exact agreement gate-for-gate.
@@ -43,12 +52,119 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import bitpack as bp
+from .base import apply_primitives
 
 _SQRT2 = math.sqrt(2.0)
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
-class StabilizerChForm:
+class _ChKernels:
+    """CH-form kernels shared by a single form and a stack of them.
+
+    Written only against the per-primitive kernels and the ``(..., n, W)``
+    word layout, so :class:`StabilizerChForm` and :class:`StackedChForms`
+    run the same phase rule, Y decomposition, fused single-qubit layers
+    and candidate membership test, and build scalar forms (copies,
+    views) the same way.
+    """
+
+    def _form(self, Fw, Gw, Mw, gamma, vw, sw, omega) -> "StabilizerChForm":
+        """A scalar form of this width over the given arrays (no copy)."""
+        out = StabilizerChForm.__new__(StabilizerChForm)
+        out.n, out._w, out._mask = self.n, self._w, self._mask
+        out.Fw, out.Gw, out.Mw, out.gamma = Fw, Gw, Mw, gamma
+        out.vw, out.sw, out.omega = vw, sw, omega
+        return out
+
+    def _candidate_rows(self, bits, support: Sequence[int]) -> np.ndarray:
+        """The ``(B, 2^k, n)`` candidates of ``B`` bitstrings over ``support``.
+
+        Candidate ``idx`` of row ``b`` agrees with ``bits[b]`` off
+        ``support`` and encodes ``support[pos]`` at bit ``k - 1 - pos``,
+        the BGLS resampling convention.
+        """
+        support = [int(a) for a in support]
+        k = len(support)
+        base = np.asarray(bits, dtype=np.uint8)
+        if base.ndim != 2 or base.shape[1] != self.n:
+            raise ValueError(
+                f"Expected (B, {self.n}) bitstrings, got {base.shape}"
+            )
+        cands = np.repeat(base[:, None, :], 2**k, axis=1)
+        patterns = (
+            (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
+        ).astype(np.uint8)
+        cands[:, :, support] = patterns[None, :, :]
+        return cands
+
+    def _off_support(self, c: np.ndarray) -> np.ndarray:
+        """Which 0/1 rows of ``c`` (``(..., R, n)`` floats) have zero amplitude.
+
+        ``b`` is in the support iff ``x = F^T b`` agrees with ``s`` on the
+        un-Hadamarded qubits: one GF(2) matmul for every row at once.
+        """
+        x = (c @ bp.unpack_rows(self.Fw, self.n).astype(np.float64)) % 2.0
+        s = bp.unpack_rows(self.sw, self.n)[..., None, :]
+        bare = bp.unpack_rows(self.vw, self.n)[..., None, :] == 0
+        return ((x != s) & bare).any(axis=-1)
+
+    def apply_phase(self, phase) -> None:
+        """A gate's global phase multiplies into ``omega``."""
+        self.omega *= phase
+
+    def apply_y(self, q: int) -> None:
+        """Y = i X Z (apply Z, then X, then the i)."""
+        self.apply_z(q)
+        self.apply_x(q)
+        self.omega *= 1j
+
+    def apply_z_many(self, qs: Sequence[int]) -> None:
+        """Z on several distinct qubits in one batched pass.
+
+        Sound because Z only flips ``s`` under the Hadamard layer (``v``
+        positions) while each gate's phase count reads ``s`` on the bare
+        (``~v``) positions — so the per-qubit contributions never observe
+        each other's updates and commute into one XOR reduction.
+        """
+        idx = np.asarray(qs, dtype=np.intp)
+        if idx.size == 0:
+            return
+        g_rows = self.Gw[..., idx, :]
+        v = self.vw[..., None, :]
+        alpha = bp.count_bits(
+            g_rows & ~v & self.sw[..., None, :], axis=(-2, -1)
+        )
+        self.omega *= _I_POW[(2 * alpha) % 4]
+        self.sw = self.sw ^ np.bitwise_xor.reduce(g_rows & v, axis=-2)
+
+    def apply_single_qubit_layer(
+        self, names: Sequence[str], cols: Sequence[int]
+    ) -> None:
+        """Apply one single-qubit Clifford primitive per (distinct) column.
+
+        The row-local gates (S, S-dagger) and the phase-only Z batch into
+        one vectorized pass each, while X/Y/H — whose CH updates read
+        state the other gates write — follow one by one in layer order.
+        """
+        batched = {"S": [], "SDG": [], "Z": []}
+        rest = []
+        rest_cols = []
+        for name, col in zip(names, cols):
+            if name in batched:
+                batched[name].append(col)
+            else:
+                rest.append((name, (len(rest_cols),)))
+                rest_cols.append(col)
+        if batched["S"]:
+            self.apply_s(np.asarray(batched["S"], dtype=np.intp))
+        if batched["SDG"]:
+            self.apply_sdg(np.asarray(batched["SDG"], dtype=np.intp))
+        if batched["Z"]:
+            self.apply_z_many(batched["Z"])
+        apply_primitives(self, rest, rest_cols)
+
+
+class StabilizerChForm(_ChKernels):
     """Mutable CH-form stabilizer state on ``n`` qubits, initially |0..0>."""
 
     def __init__(self, num_qubits: int, initial_state: int = 0):
@@ -134,49 +250,18 @@ class StabilizerChForm:
         self.omega *= _I_POW[pw]
         self.sw = u
 
-    def apply_y(self, q: int) -> None:
-        """Y = i X Z (apply Z, then X, then the i)."""
-        self.apply_z(q)
-        self.apply_x(q)
-        self.omega *= 1j
-
     def apply_s(self, q: int) -> None:
-        """S (phase gate): gamma_q -= 1, M_q ^= G_q."""
+        """S (phase gate): gamma_q -= 1, M_q ^= G_q.
+
+        ``q`` may also be an index array of distinct qubits (one row pass).
+        """
         self.Mw[q] ^= self.Gw[q]
         self.gamma[q] = (self.gamma[q] - 1) % 4
 
     def apply_sdg(self, q: int) -> None:
-        """S^dagger: gamma_q += 1, M_q ^= G_q."""
+        """S^dagger: gamma_q += 1, M_q ^= G_q (``q`` may be an index array)."""
         self.Mw[q] ^= self.Gw[q]
         self.gamma[q] = (self.gamma[q] + 1) % 4
-
-    def apply_s_many(self, qs: Sequence[int]) -> None:
-        """S on several distinct qubits in one batched row pass."""
-        idx = np.asarray(qs, dtype=np.intp)
-        self.Mw[idx] ^= self.Gw[idx]
-        self.gamma[idx] = (self.gamma[idx] - 1) % 4
-
-    def apply_sdg_many(self, qs: Sequence[int]) -> None:
-        """S-dagger on several distinct qubits in one batched row pass."""
-        idx = np.asarray(qs, dtype=np.intp)
-        self.Mw[idx] ^= self.Gw[idx]
-        self.gamma[idx] = (self.gamma[idx] + 1) % 4
-
-    def apply_z_many(self, qs: Sequence[int]) -> None:
-        """Z on several distinct qubits in one batched pass.
-
-        Sound because Z only flips ``s`` under the Hadamard layer (``v``
-        positions) while each gate's phase count reads ``s`` on the bare
-        (``~v``) positions — so the per-qubit contributions never observe
-        each other's updates and commute into one XOR reduction.
-        """
-        idx = np.asarray(qs, dtype=np.intp)
-        if idx.size == 0:
-            return
-        g_rows = self.Gw[idx]
-        alpha = bp.count_bits(g_rows & ~self.vw[None, :] & self.sw[None, :])
-        self.omega *= _I_POW[(2 * int(alpha)) % 4]
-        self.sw = self.sw ^ np.bitwise_xor.reduce(g_rows & self.vw[None, :], axis=0)
 
     def apply_cz(self, q: int, r: int) -> None:
         """CZ: M_q ^= G_r and M_r ^= G_q (no phase)."""
@@ -451,13 +536,8 @@ class StabilizerChForm:
         c = np.asarray(bitstrings, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] != self.n:
             raise ValueError(f"Expected (R, {self.n}) bitstrings, got {c.shape}")
-        f_mat = bp.unpack_rows(self.Fw, self.n).astype(np.float64)
-        x = (c @ f_mat) % 2.0
-        s = bp.unpack_rows(self.sw, self.n).astype(np.float64)
-        bare = bp.unpack_rows(self.vw, self.n) == 0
-        mismatch = ((x != s) & bare).any(axis=1)
         out = np.full(c.shape[0], self._nonzero_probability())
-        out[mismatch] = 0.0
+        out[self._off_support(c)] = 0.0
         return out
 
     def candidate_probabilities(
@@ -476,20 +556,10 @@ class StabilizerChForm:
         """A ``(B, 2^k)`` matrix of candidate probabilities for ``B``
         tracked bitstrings sharing one gate support — one batched matvec
         for the whole resampling step of a gate."""
-        support = [int(a) for a in support]
-        k = len(support)
-        base = np.asarray(bits_list, dtype=np.uint8)
-        if base.ndim != 2 or base.shape[1] != self.n:
-            raise ValueError(
-                f"Expected (B, {self.n}) bitstrings, got {base.shape}"
-            )
-        cands = np.repeat(base[:, None, :], 2**k, axis=1)
-        patterns = (
-            (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
-        ).astype(np.uint8)
-        cands[:, :, support] = patterns[None, :, :]
-        flat = cands.reshape(base.shape[0] * 2**k, self.n)
-        return self.probabilities_of_many(flat).reshape(base.shape[0], 2**k)
+        cands = self._candidate_rows(bits_list, support)
+        rows, count, _ = cands.shape
+        flat = cands.reshape(rows * count, self.n)
+        return self.probabilities_of_many(flat).reshape(rows, count)
 
     def state_vector(self) -> np.ndarray:
         """Full dense wavefunction (exponential; for testing on small n)."""
@@ -501,18 +571,15 @@ class StabilizerChForm:
         return out
 
     def copy(self) -> "StabilizerChForm":
-        out = StabilizerChForm.__new__(StabilizerChForm)
-        out.n = self.n
-        out._w = self._w
-        out._mask = self._mask
-        out.Fw = self.Fw.copy()
-        out.Gw = self.Gw.copy()
-        out.Mw = self.Mw.copy()
-        out.gamma = self.gamma.copy()
-        out.vw = self.vw.copy()
-        out.sw = self.sw.copy()
-        out.omega = self.omega
-        return out
+        return self._form(
+            self.Fw.copy(),
+            self.Gw.copy(),
+            self.Mw.copy(),
+            self.gamma.copy(),
+            self.vw.copy(),
+            self.sw.copy(),
+            self.omega,
+        )
 
     # -- packed snapshot payloads (warm-pool worker shipping) ---------------
     def to_words(self) -> Tuple:
@@ -571,7 +638,7 @@ class StabilizerChForm:
         return StackedChForms(self, batch)
 
 
-class StackedChForms:
+class StackedChForms(_ChKernels):
     """A stack of ``B`` independent CH forms sharing each gate's word pass.
 
     The batched-trajectory engine's CH layout: ``Fw``/``Gw``/``Mw`` are
@@ -579,7 +646,9 @@ class StackedChForms:
     are ``(B, W)`` and ``omega`` is a ``(B,)`` complex vector.  The
     control-type gates (S, S-dagger, CZ, CNOT) and the Pauli row actions
     (X, Y, Z) are linear word updates identical across the batch, so each
-    broadcasts over ``B`` in one NumPy call.  Hadamard and measurement
+    broadcasts over ``B`` in one NumPy call; gates arrive through the same
+    dispatch as for a single form (:mod:`repro.states.base`).  Hadamard
+    and measurement
     collapse branch per trajectory (``update_sum``'s case analysis depends
     on the trajectory's own ``v``/``s``); those run through :meth:`view`,
     a zero-copy scalar alias of one trajectory, with the rebound ``sw``/
@@ -611,18 +680,15 @@ class StackedChForms:
         are rebound by the scalar kernels and must be written back with
         :meth:`store` after any scalar call.
         """
-        out = StabilizerChForm.__new__(StabilizerChForm)
-        out.n = self.n
-        out._w = self._w
-        out._mask = self._mask
-        out.Fw = self.Fw[b]
-        out.Gw = self.Gw[b]
-        out.Mw = self.Mw[b]
-        out.gamma = self.gamma[b]
-        out.vw = self.vw[b]
-        out.sw = self.sw[b]
-        out.omega = complex(self.omega[b])
-        return out
+        return self._form(
+            self.Fw[b],
+            self.Gw[b],
+            self.Mw[b],
+            self.gamma[b],
+            self.vw[b],
+            self.sw[b],
+            complex(self.omega[b]),
+        )
 
     def store(self, b: int, form: StabilizerChForm) -> None:
         """Write back the scalar-rebound ``sw``/``omega`` of a view."""
@@ -672,59 +738,12 @@ class StackedChForms:
         self.omega *= _I_POW[(2 * alpha) % 4]
         self.sw = u
 
-    def apply_y(self, q: int) -> None:
-        self.apply_z(q)
-        self.apply_x(q)
-        self.omega *= 1j
-
     def apply_h(self, q: int) -> None:
         """Hadamard: ``update_sum``'s case analysis is per-trajectory."""
         for b in range(self.batch):
             st = self.view(b)
             st.apply_h(q)
             self.store(b, st)
-
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """One cached ``(phase, primitives)`` decomposition, batch-wide.
-
-        Unlike the tableau, the CH form tracks global phase, so the
-        sequence's phase factor multiplies ``omega`` directly.
-        """
-        phase, prims = seq
-        if phase is not None and phase != 1:
-            self.omega *= phase
-        dispatch = {
-            "H": self.apply_h,
-            "S": self.apply_s,
-            "SDG": self.apply_sdg,
-            "X": self.apply_x,
-            "Y": self.apply_y,
-            "Z": self.apply_z,
-            "CX": self.apply_cx,
-            "CZ": self.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown CH primitive {name!r}") from None
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """A fused moment of disjoint single-qubit gates, batch-wide.
-
-        ``seqs[i]`` is ``(phase, [primitive, ...])`` for the gate on
-        ``axes[i]`` — the :class:`~repro.sampler.plan.FusedOpRecord`
-        layout.
-        """
-        for (phase, prims), axis in zip(seqs, axes):
-            if phase is not None and phase != 1:
-                self.omega *= phase
-            self.apply_stabilizer_sequence(
-                (None, [(name, (0,)) for name in prims]), [axis]
-            )
 
     # -- batched candidate probabilities -----------------------------------
     def candidate_probabilities(
@@ -733,35 +752,28 @@ class StackedChForms:
         """A ``(B, 2^k)`` candidate matrix, one per-trajectory state each.
 
         The stacked sibling of
-        :meth:`StabilizerChForm.candidate_probabilities_many`: candidate
-        ``idx`` of trajectory ``b`` agrees with ``bits[b]`` off
-        ``support`` and encodes ``support[pos]`` at bit ``k - 1 - pos``.
-        The support-membership test runs as one batched GF(2) matmul
-        against the stacked ``F`` matrices.
+        :meth:`StabilizerChForm.candidate_probabilities_many`, with row
+        ``b`` answered by trajectory ``b``: the support-membership test
+        runs as one batched GF(2) matmul against the stacked ``F``
+        matrices.
         """
-        support = [int(a) for a in support]
-        k = len(support)
-        base = np.asarray(bits, dtype=np.uint8)
-        if base.ndim != 2 or base.shape != (self.batch, self.n):
-            raise ValueError(
-                f"Expected ({self.batch}, {self.n}) bitstrings, "
-                f"got {base.shape}"
-            )
-        cands = np.repeat(base[:, None, :], 2**k, axis=1)
-        patterns = (
-            (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
-        ).astype(np.uint8)
-        cands[:, :, support] = patterns[None, :, :]
-        f_mats = bp.unpack_rows(self.Fw, self.n).astype(np.float64)
-        x = np.einsum(
-            "bkp,bpj->bkj", cands.astype(np.float64), f_mats
-        ) % 2.0
-        s = bp.unpack_rows(self.sw, self.n).astype(np.float64)
-        bare = bp.unpack_rows(self.vw, self.n) == 0
-        mismatch = ((x != s[:, None, :]) & bare[:, None, :]).any(axis=2)
+        cands = self._candidate_rows(bits, support)
+        mismatch = self._off_support(cands.astype(np.float64))
         flat = np.abs(self.omega) ** 2 * np.exp2(
             -bp.count_bits(self.vw, axis=1).astype(np.float64)
         )
         out = np.broadcast_to(flat[:, None], mismatch.shape).copy()
         out[mismatch] = 0.0
         return out
+
+    def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
+        """Collapse each trajectory's ``support`` onto its own outcome row.
+
+        Collapse branches per trajectory, so each runs on a :meth:`view`
+        and writes its rebound ``sw``/``omega`` back.
+        """
+        for b in range(self.batch):
+            view = self.view(b)
+            for axis, bit in zip(support, outcomes[b]):
+                view.project_measurement(axis, int(bit))
+            self.store(b, view)

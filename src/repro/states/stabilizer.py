@@ -1,11 +1,22 @@
-"""Simulation-state wrapper around the CH-form stabilizer engine.
+"""Simulation states over the two stabilizer engines.
 
-``StabilizerChFormSimulationState`` adapts :class:`StabilizerChForm` to the
-``act_on`` protocol: operations are applied through their
-``_stabilizer_sequence_`` decomposition into CH primitives.  Non-Clifford
-operations raise ``ValueError`` — exactly like Cirq's stabilizer simulator —
-unless routed through :func:`repro.sampler.act_on_near_clifford`, which
-expands ``Rz(theta)`` gates stochastically (paper Sec. 4.2).
+:class:`StabilizerSimulationState` binds a stabilizer engine to a qubit
+register and adapts it to the ``act_on`` protocol: operations are applied
+through their cached ``_stabilizer_sequence_`` decomposition by the
+shared dispatch of :mod:`repro.states.base` (:func:`apply_sequence`,
+:func:`apply_moment`), which is also what the batched trajectory engine
+runs on a ``stack(B)`` of the same engine.  Its two subclasses differ only
+in the engine:
+
+* :class:`StabilizerChFormSimulationState` — the CH form of
+  :mod:`repro.states.chform`, which keeps global phase in ``omega``;
+* :class:`~repro.states.tableau.CliffordTableauSimulationState` — the
+  Aaronson-Gottesman tableau, which drops it.
+
+Non-Clifford operations raise ``ValueError`` — exactly like Cirq's
+stabilizer simulator — unless routed through
+:func:`repro.sampler.act_on_near_clifford`, which expands ``Rz(theta)``
+gates stochastically (paper Sec. 4.2).
 """
 
 from __future__ import annotations
@@ -16,12 +27,18 @@ import numpy as np
 
 from ..circuits.operations import GateOperation
 from ..circuits.qubits import Qid
-from .base import SimulationState
+from .base import SimulationState, apply_moment, apply_sequence
 from .chform import StabilizerChForm
 
 
-class StabilizerChFormSimulationState(SimulationState):
-    """CH-form stabilizer simulation state bound to a qubit register."""
+class StabilizerSimulationState(SimulationState):
+    """A stabilizer engine bound to a qubit register.
+
+    Subclasses set ``engine_type``, built as ``engine_type(num_qubits,
+    initial_state)`` and held in :attr:`engine`.
+    """
+
+    engine_type: type
 
     def __init__(
         self,
@@ -30,7 +47,7 @@ class StabilizerChFormSimulationState(SimulationState):
         seed: Union[int, np.random.Generator, None] = None,
     ):
         super().__init__(qubits, seed)
-        self.ch_form = StabilizerChForm(len(self.qubits), initial_state)
+        self.engine = self.engine_type(len(self.qubits), initial_state)
 
     # -- act_on ------------------------------------------------------------
     def _act_on_(self, op: GateOperation) -> None:
@@ -48,29 +65,7 @@ class StabilizerChFormSimulationState(SimulationState):
 
     def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
         """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
-        phase, prims = seq
-        ch = self.ch_form
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            if name == "H":
-                ch.apply_h(mapped[0])
-            elif name == "S":
-                ch.apply_s(mapped[0])
-            elif name == "SDG":
-                ch.apply_sdg(mapped[0])
-            elif name == "X":
-                ch.apply_x(mapped[0])
-            elif name == "Y":
-                ch.apply_y(mapped[0])
-            elif name == "Z":
-                ch.apply_z(mapped[0])
-            elif name == "CX":
-                ch.apply_cx(mapped[0], mapped[1])
-            elif name == "CZ":
-                ch.apply_cz(mapped[0], mapped[1])
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown CH primitive {name!r}")
-        ch.omega *= phase
+        apply_sequence(self.engine, seq, axes)
 
     def apply_single_qubit_moment(
         self, seqs: Sequence, axes: Sequence[int]
@@ -78,95 +73,76 @@ class StabilizerChFormSimulationState(SimulationState):
         """Apply one single-qubit Clifford gate per (disjoint) axis.
 
         ``seqs[i]`` is ``(phase, [primitive, ...])`` for the gate on
-        ``axes[i]``.  Primitives are layered; within a layer the row-local
-        gates (S, S-dagger) and the phase-only Z batch into single
-        vectorized passes, while X/Y/H — whose CH updates read state the
-        other gates write — stay sequential.  All global phases multiply
-        into ``omega`` exactly as the per-gate path does.
+        ``axes[i]``; each layer of primitives is one batched engine pass
+        (see :func:`~repro.states.base.apply_moment`).
         """
-        ch = self.ch_form
-        for phase, _ in seqs:
-            ch.omega *= phase
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            batched = {"S": [], "SDG": [], "Z": []}
-            sequential = []
-            for (_, prims), axis in zip(seqs, axes):
-                if layer >= len(prims):
-                    continue
-                name = prims[layer]
-                if name in batched:
-                    batched[name].append(axis)
-                else:
-                    sequential.append((name, axis))
-            if batched["S"]:
-                ch.apply_s_many(batched["S"])
-            if batched["SDG"]:
-                ch.apply_sdg_many(batched["SDG"])
-            if batched["Z"]:
-                ch.apply_z_many(batched["Z"])
-            for name, axis in sequential:
-                if name == "H":
-                    ch.apply_h(axis)
-                elif name == "X":
-                    ch.apply_x(axis)
-                elif name == "Y":
-                    ch.apply_y(axis)
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"Unknown CH primitive {name!r}")
+        apply_moment(self.engine, seqs, axes)
 
     # -- SimulationState interface -------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
         raise ValueError(
-            "StabilizerChFormSimulationState cannot apply raw unitaries; "
+            f"{type(self).__name__} cannot apply raw unitaries; "
             "gates must provide a stabilizer decomposition."
         )
 
     def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
         raise ValueError(
-            "StabilizerChFormSimulationState does not support channels; "
+            f"{type(self).__name__} does not support channels; "
             "Pauli channels can be expressed as stochastic Pauli gates."
         )
 
     def measure(self, axes: Sequence[int]) -> List[int]:
-        return [self.ch_form.measure(axis, self._rng) for axis in axes]
+        return [self.engine.measure(axis, self._rng) for axis in axes]
 
-    def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
-        """Collapse ``axes`` onto known outcome ``bits``."""
-        for axis, bit in zip(axes, bits):
-            self.ch_form.project_measurement(axis, int(bit))
-
-    # -- queries -----------------------------------------------------------------
+    # -- queries -------------------------------------------------------------
     def probability_of(self, bits: Sequence[int]) -> float:
-        """Born probability of a full bitstring (O(n^2), depth-free)."""
-        return self.ch_form.probability_of(bits)
+        """Born probability of a full bitstring."""
+        return self.engine.probability_of(bits)
 
     def candidate_probabilities(
         self, bits: Sequence[int], support: Sequence[int]
     ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities in one batched membership test."""
-        return self.ch_form.candidate_probabilities(bits, support)
+        """All ``2^k`` candidate probabilities over ``support`` at once."""
+        return self.engine.candidate_probabilities(bits, support)
 
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:
         """Candidate probabilities for many tracked bitstrings at once."""
-        return self.ch_form.candidate_probabilities_many(bits_list, support)
+        return self.engine.candidate_probabilities_many(bits_list, support)
 
-    def state_vector(self) -> np.ndarray:
-        """Dense wavefunction (exponential; testing only)."""
-        return self.ch_form.state_vector()
-
-    def copy(self, seed=None) -> "StabilizerChFormSimulationState":
+    def copy(self, seed=None) -> "StabilizerSimulationState":
         out = type(self).__new__(type(self))  # preserve subclasses
         SimulationState.__init__(out, self.qubits, seed)
-        out.ch_form = self.ch_form.copy()
+        out.engine = self.engine.copy()
         return out
 
     def __repr__(self) -> str:
-        return (
-            f"StabilizerChFormSimulationState(num_qubits={self.num_qubits})"
-        )
+        return f"{type(self).__name__}(num_qubits={self.num_qubits})"
+
+
+class StabilizerChFormSimulationState(StabilizerSimulationState):
+    """CH-form stabilizer simulation state bound to a qubit register.
+
+    Probability queries cost ``O(n^2)`` independent of circuit depth; the
+    global phase of every gate is multiplied into ``omega``.
+    """
+
+    engine_type = StabilizerChForm
+
+    @property
+    def ch_form(self) -> StabilizerChForm:
+        """The CH-form engine (the same object as :attr:`engine`)."""
+        return self.engine
+
+    def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
+        """Collapse ``axes`` onto known outcome ``bits``."""
+        for axis, bit in zip(axes, bits):
+            self.engine.project_measurement(axis, int(bit))
+
+    def state_vector(self) -> np.ndarray:
+        """Dense wavefunction (exponential; testing only)."""
+        return self.engine.state_vector()
 
 
 def snapshot_chform_state(state: StabilizerChFormSimulationState) -> Tuple:
@@ -178,7 +154,7 @@ def snapshot_chform_state(state: StabilizerChFormSimulationState) -> Tuple:
     worker initialization on the payload content.  Restored states get a
     fresh RNG (the sampler re-seeds every copy it takes).
     """
-    return ("stabilizer_ch_form", tuple(state.qubits)) + state.ch_form.to_words()
+    return ("stabilizer_ch_form", tuple(state.qubits)) + state.engine.to_words()
 
 
 def restore_chform_state(payload: Tuple) -> StabilizerChFormSimulationState:
@@ -190,5 +166,5 @@ def restore_chform_state(payload: Tuple) -> StabilizerChFormSimulationState:
         StabilizerChFormSimulationState
     )
     SimulationState.__init__(state, qubits, None)
-    state.ch_form = StabilizerChForm.from_words(*payload[2:])
+    state.engine = StabilizerChForm.from_words(*payload[2:])
     return state

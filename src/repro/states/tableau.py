@@ -22,7 +22,10 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
 
 * Gate updates touch one or two columns of all rows: ``O(n)`` single-word
   operations.  CZ and S-dagger use direct single-pass sign/column updates
-  instead of their H.CX.H / Z.S compositions.
+  instead of their H.CX.H / Z.S compositions.  The kernels (the shared
+  ``_TableauKernels``) address a column as ``[..., w]``, so the same code
+  updates one tableau or a :class:`StackedCliffordTableaus` of ``B`` — the
+  batched trajectory engine's stack has no gate code of its own.
 * ``_rowsum`` multiplies two Pauli rows in ``O(W)`` via three AND/NOT word
   masks per sign (the phase exponent is ``popcount(pos) - popcount(neg)``).
 * ``_rowsum_many`` — the measurement-collapse kernel — multiplies one
@@ -32,6 +35,10 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
   of a gate's support from one shared scratch tableau (the off-support
   projection chain is done once, not ``2^k`` times).
 
+:class:`CliffordTableauSimulationState` binds the tableau to a qubit
+register through the stabilizer states' shared base class and dispatch
+(:mod:`repro.states.stabilizer`); global phases are dropped.
+
 The pre-packing one-bit-per-byte implementation is retained verbatim as
 :class:`repro.states.reference.UnpackedCliffordTableau`; property tests
 assert bit-exact agreement gate-for-gate.
@@ -39,14 +46,13 @@ assert bit-exact agreement gate-for-gate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.operations import GateOperation
-from ..circuits.qubits import Qid
 from . import bitpack as bp
 from .base import SimulationState
+from .stabilizer import StabilizerSimulationState
 
 _ONE = np.uint64(1)
 
@@ -69,20 +75,179 @@ def _scatter_xor_columns(
 ) -> None:
     """XOR per-column 0/1 values into packed columns, one pass per word.
 
-    ``vals[:, j]`` lands at bit ``bs[j]`` of word column ``ws[j]``.  Columns
+    ``vals[..., j]`` lands at bit ``bs[j]`` of word column ``ws[j]``.  Columns
     sharing a word are combined first (their bit positions are distinct, so
     OR equals the XOR sum) and each destination word is touched once —
     plain fancy-indexed ``^=`` would silently drop duplicate word indices.
     """
-    shifted = vals << bs[None, :]
+    shifted = vals << bs
     order = np.argsort(ws, kind="stable")
     sorted_ws = ws[order]
     starts = np.flatnonzero(np.r_[True, sorted_ws[1:] != sorted_ws[:-1]])
-    combined = np.bitwise_or.reduceat(shifted[:, order], starts, axis=1)
-    mat[:, sorted_ws[starts]] ^= combined
+    combined = np.bitwise_or.reduceat(shifted[..., order], starts, axis=-1)
+    mat[..., sorted_ws[starts]] ^= combined
 
 
-class CliffordTableau:
+class _TableauKernels:
+    """Clifford column kernels shared by a tableau and a stack of them.
+
+    ``xw``/``zw`` are ``(..., 2n+1, W)`` word arrays and ``r`` is
+    ``(..., 2n+1)``.  Every kernel addresses a column as ``[..., w]``, so
+    the same NumPy call updates one :class:`CliffordTableau` or all ``B``
+    tableaus of a :class:`StackedCliffordTableaus` — each gate is ``O(n)``
+    single-word column operations per tableau.  Copies and stack views
+    are built by the same :meth:`_tableau`.
+    """
+
+    def _tableau(self, xw, zw, r) -> "CliffordTableau":
+        """A scalar tableau of this width over the given arrays (no copy)."""
+        out = CliffordTableau.__new__(CliffordTableau)
+        out.n, out._w = self.n, self._w
+        out.xw, out.zw, out.r = xw, zw, r
+        return out
+
+    def apply_phase(self, phase) -> None:
+        """A global phase is not representable in a tableau; dropped."""
+
+    def apply_h(self, a: int) -> None:
+        """Hadamard on qubit ``a``: swaps the X and Z columns."""
+        w, b = bp.word_and_bit(a)
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
+        self.r ^= (xa & za).astype(np.uint8)
+        diff = (xa ^ za) << b
+        self.xw[..., w] ^= diff
+        self.zw[..., w] ^= diff
+
+    def apply_s(self, a: int) -> None:
+        """Phase gate S on qubit ``a``."""
+        w, b = bp.word_and_bit(a)
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
+        self.r ^= (xa & za).astype(np.uint8)
+        self.zw[..., w] ^= xa << b
+
+    def apply_sdg(self, a: int) -> None:
+        """S-dagger on qubit ``a``, in one pass (= Z then S fused)."""
+        w, b = bp.word_and_bit(a)
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
+        self.r ^= (xa & (za ^ _ONE)).astype(np.uint8)
+        self.zw[..., w] ^= xa << b
+
+    def apply_x(self, a: int) -> None:
+        """Pauli X: flips the sign of rows anticommuting with X_a."""
+        w, b = bp.word_and_bit(a)
+        self.r ^= ((self.zw[..., w] >> b) & _ONE).astype(np.uint8)
+
+    def apply_z(self, a: int) -> None:
+        """Pauli Z: flips the sign of rows anticommuting with Z_a."""
+        w, b = bp.word_and_bit(a)
+        self.r ^= ((self.xw[..., w] >> b) & _ONE).astype(np.uint8)
+
+    def apply_y(self, a: int) -> None:
+        """Pauli Y: flips the sign of rows holding X or Z (not Y) at ``a``."""
+        w, b = bp.word_and_bit(a)
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
+        self.r ^= (xa ^ za).astype(np.uint8)
+
+    def apply_cx(self, a: int, b: int) -> None:
+        """CNOT with control ``a`` and target ``b``."""
+        if a == b:
+            raise ValueError("CNOT control and target must differ")
+        wa, ba = bp.word_and_bit(a)
+        wb, bb = bp.word_and_bit(b)
+        xa = (self.xw[..., wa] >> ba) & _ONE
+        za = (self.zw[..., wa] >> ba) & _ONE
+        xb = (self.xw[..., wb] >> bb) & _ONE
+        zb = (self.zw[..., wb] >> bb) & _ONE
+        self.r ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
+        self.xw[..., wb] ^= xa << bb
+        self.zw[..., wa] ^= zb << ba
+
+    def apply_cz(self, a: int, b: int) -> None:
+        """CZ in one pass: Z_a gains X_b, Z_b gains X_a, sign flips where
+        both rows hold X and exactly one holds Z (the fused H.CX.H sign)."""
+        if a == b:
+            raise ValueError("CZ control and target must differ")
+        wa, ba = bp.word_and_bit(a)
+        wb, bb = bp.word_and_bit(b)
+        xa = (self.xw[..., wa] >> ba) & _ONE
+        za = (self.zw[..., wa] >> ba) & _ONE
+        xb = (self.xw[..., wb] >> bb) & _ONE
+        zb = (self.zw[..., wb] >> bb) & _ONE
+        self.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
+        self.zw[..., wa] ^= xb << ba
+        self.zw[..., wb] ^= xa << bb
+
+    def apply_single_qubit_layer(
+        self, names: Sequence[str], cols: Sequence[int]
+    ) -> None:
+        """Apply one single-qubit Clifford primitive per (distinct) column.
+
+        The whole layer runs as one batched column pass: every column's X/Z
+        bits are gathered with one 2-D fancy index, the sign flips of all
+        gates XOR into ``r`` in one reduction, and the column updates
+        scatter back word-by-word.  This replaces the ~10 small NumPy calls
+        per gate of the scalar kernels with a constant number of calls per
+        *moment* — the per-gate overhead win for circuits below a few
+        hundred qubits.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size == 0:
+            return
+        if np.unique(cols).size != cols.size:
+            raise ValueError("Layer columns must be distinct qubits")
+        ws = cols >> 6
+        bs = (cols & (bp.WORD_BITS - 1)).astype(np.uint64)
+        xa = (self.xw[..., ws] >> bs) & _ONE
+        za = (self.zw[..., ws] >> bs) & _ONE
+        flips = np.empty_like(xa)
+        dx = np.zeros_like(xa)
+        dz = np.zeros_like(xa)
+        names_arr = np.asarray(names)
+        if names_arr.shape != cols.shape:
+            raise ValueError("Need exactly one primitive name per column")
+        for name in set(names):
+            sel = names_arr == name
+            x_s, z_s = xa[..., sel], za[..., sel]
+            if name == "H":
+                diff = x_s ^ z_s
+                flips[..., sel] = x_s & z_s
+                dx[..., sel] = diff
+                dz[..., sel] = diff
+            elif name == "S":
+                flips[..., sel] = x_s & z_s
+                dz[..., sel] = x_s
+            elif name == "SDG":
+                flips[..., sel] = x_s & (z_s ^ _ONE)
+                dz[..., sel] = x_s
+            elif name == "X":
+                flips[..., sel] = z_s
+            elif name == "Z":
+                flips[..., sel] = x_s
+            elif name == "Y":
+                flips[..., sel] = x_s ^ z_s
+            else:
+                raise ValueError(f"Unknown single-qubit primitive {name!r}")
+        self.r ^= np.bitwise_xor.reduce(flips, axis=-1).astype(np.uint8)
+        _scatter_xor_columns(self.xw, ws, bs, dx)
+        _scatter_xor_columns(self.zw, ws, bs, dz)
+
+    def apply_swap(self, a: int, b: int) -> None:
+        """SWAP by column exchange (cheaper than three CNOTs)."""
+        wa, ba = bp.word_and_bit(a)
+        wb, bb = bp.word_and_bit(b)
+        for mat in (self.xw, self.zw):
+            ca = (mat[..., wa] >> ba) & _ONE
+            cb = (mat[..., wb] >> bb) & _ONE
+            diff = ca ^ cb
+            mat[..., wa] ^= diff << ba
+            mat[..., wb] ^= diff << bb
+
+
+class CliffordTableau(_TableauKernels):
     """The Aaronson-Gottesman tableau over ``n`` qubits, ``uint64``-packed.
 
     Args:
@@ -153,146 +318,6 @@ class CliffordTableau:
         self.r[targets] = ((total % 4) // 2).astype(np.uint8)
         self.xw[targets] = x2 ^ x1
         self.zw[targets] = z2 ^ z1
-
-    # ------------------------------------------------------------------
-    # Clifford gate updates (all O(n) single-word column operations)
-    # ------------------------------------------------------------------
-    def apply_h(self, a: int) -> None:
-        """Hadamard on qubit ``a``: swaps the X and Z columns."""
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        diff = (xa ^ za) << b
-        self.xw[:, w] ^= diff
-        self.zw[:, w] ^= diff
-
-    def apply_s(self, a: int) -> None:
-        """Phase gate S on qubit ``a``."""
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        self.zw[:, w] ^= xa << b
-
-    def apply_sdg(self, a: int) -> None:
-        """S-dagger on qubit ``a``, in one pass (= Z then S fused)."""
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
-        self.r ^= (xa & (za ^ _ONE)).astype(np.uint8)
-        self.zw[:, w] ^= xa << b
-
-    def apply_x(self, a: int) -> None:
-        """Pauli X: flips the sign of rows anticommuting with X_a."""
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.zw[:, w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_z(self, a: int) -> None:
-        """Pauli Z: flips the sign of rows anticommuting with Z_a."""
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.xw[:, w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_y(self, a: int) -> None:
-        """Pauli Y: flips the sign of rows holding X or Z (not Y) at ``a``."""
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
-        self.r ^= (xa ^ za).astype(np.uint8)
-
-    def apply_cx(self, a: int, b: int) -> None:
-        """CNOT with control ``a`` and target ``b``."""
-        if a == b:
-            raise ValueError("CNOT control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[:, wa] >> ba) & _ONE
-        za = (self.zw[:, wa] >> ba) & _ONE
-        xb = (self.xw[:, wb] >> bb) & _ONE
-        zb = (self.zw[:, wb] >> bb) & _ONE
-        self.r ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
-        self.xw[:, wb] ^= xa << bb
-        self.zw[:, wa] ^= zb << ba
-
-    def apply_cz(self, a: int, b: int) -> None:
-        """CZ in one pass: Z_a gains X_b, Z_b gains X_a, sign flips where
-        both rows hold X and exactly one holds Z (the fused H.CX.H sign)."""
-        if a == b:
-            raise ValueError("CZ control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[:, wa] >> ba) & _ONE
-        za = (self.zw[:, wa] >> ba) & _ONE
-        xb = (self.xw[:, wb] >> bb) & _ONE
-        zb = (self.zw[:, wb] >> bb) & _ONE
-        self.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-        self.zw[:, wa] ^= xb << ba
-        self.zw[:, wb] ^= xa << bb
-
-    def apply_single_qubit_layer(
-        self, names: Sequence[str], cols: Sequence[int]
-    ) -> None:
-        """Apply one single-qubit Clifford primitive per (distinct) column.
-
-        The whole layer runs as one batched column pass: every column's X/Z
-        bits are gathered with one 2-D fancy index, the sign flips of all
-        gates XOR into ``r`` in one reduction, and the column updates
-        scatter back word-by-word.  This replaces the ~10 small NumPy calls
-        per gate of the scalar kernels with a constant number of calls per
-        *moment* — the per-gate overhead win for circuits below a few
-        hundred qubits.
-        """
-        cols = np.asarray(cols, dtype=np.intp)
-        if cols.size == 0:
-            return
-        if np.unique(cols).size != cols.size:
-            raise ValueError("Layer columns must be distinct qubits")
-        ws = cols >> 6
-        bs = (cols & (bp.WORD_BITS - 1)).astype(np.uint64)
-        xa = (self.xw[:, ws] >> bs[None, :]) & _ONE
-        za = (self.zw[:, ws] >> bs[None, :]) & _ONE
-        flips = np.empty_like(xa)
-        dx = np.zeros_like(xa)
-        dz = np.zeros_like(xa)
-        names_arr = np.asarray(names)
-        if names_arr.shape != cols.shape:
-            raise ValueError("Need exactly one primitive name per column")
-        for name in set(names):
-            sel = names_arr == name
-            x_s, z_s = xa[:, sel], za[:, sel]
-            if name == "H":
-                diff = x_s ^ z_s
-                flips[:, sel] = x_s & z_s
-                dx[:, sel] = diff
-                dz[:, sel] = diff
-            elif name == "S":
-                flips[:, sel] = x_s & z_s
-                dz[:, sel] = x_s
-            elif name == "SDG":
-                flips[:, sel] = x_s & (z_s ^ _ONE)
-                dz[:, sel] = x_s
-            elif name == "X":
-                flips[:, sel] = z_s
-            elif name == "Z":
-                flips[:, sel] = x_s
-            elif name == "Y":
-                flips[:, sel] = x_s ^ z_s
-            else:
-                raise ValueError(f"Unknown single-qubit primitive {name!r}")
-        self.r ^= np.bitwise_xor.reduce(flips, axis=1).astype(np.uint8)
-        _scatter_xor_columns(self.xw, ws, bs, dx)
-        _scatter_xor_columns(self.zw, ws, bs, dz)
-
-    def apply_swap(self, a: int, b: int) -> None:
-        """SWAP by column exchange (cheaper than three CNOTs)."""
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        for mat in (self.xw, self.zw):
-            ca = (mat[:, wa] >> ba) & _ONE
-            cb = (mat[:, wb] >> bb) & _ONE
-            diff = ca ^ cb
-            mat[:, wa] ^= diff << ba
-            mat[:, wb] ^= diff << bb
 
     # ------------------------------------------------------------------
     # Measurement (AG04 Sec. III) and forced projection
@@ -558,13 +583,7 @@ class CliffordTableau:
         return out
 
     def copy(self) -> "CliffordTableau":
-        out = CliffordTableau.__new__(CliffordTableau)
-        out.n = self.n
-        out._w = self._w
-        out.xw = self.xw.copy()
-        out.zw = self.zw.copy()
-        out.r = self.r.copy()
-        return out
+        return self._tableau(self.xw.copy(), self.zw.copy(), self.r.copy())
 
     # -- packed snapshot payloads (warm-pool worker shipping) ---------------
     def to_words(self) -> Tuple[int, bytes, bytes, bytes]:
@@ -624,17 +643,17 @@ class CliffordTableau:
         return StackedCliffordTableaus(self, batch)
 
 
-class StackedCliffordTableaus:
+class StackedCliffordTableaus(_TableauKernels):
     """A stack of ``B`` independent tableaus updated by one column pass.
 
     The batched-trajectory engine's word layout: ``xw``/``zw`` are
     ``(B, 2n+1, W)`` ``uint64`` arrays and ``r`` is ``(B, 2n+1)``, i.e.
     ``B`` :class:`CliffordTableau` instances stacked on a leading axis.
-    Every Clifford gate is the same one- or two-column word update as the
-    scalar kernels, broadcast over the batch axis in a single NumPy call —
-    the per-gate cost is amortized over all ``B`` trajectories.
+    The gate kernels are the scalar tableau's own (:class:`_TableauKernels`
+    index columns as ``[..., w]``), so each gate and each fused layer is
+    one NumPy pass over all ``B`` trajectories.
 
-    Measurement-adjacent operations (pivot search, collapse, candidate
+    Measurement-adjacent queries (pivot search, collapse, candidate
     chains) branch per trajectory; :meth:`view` exposes trajectory ``b``
     as a zero-copy :class:`CliffordTableau` whose arrays alias the stack
     (every scalar kernel mutates in place, so views stay coherent).
@@ -653,251 +672,56 @@ class StackedCliffordTableaus:
 
     def view(self, b: int) -> CliffordTableau:
         """Trajectory ``b`` as a scalar tableau aliasing the stack."""
-        out = CliffordTableau.__new__(CliffordTableau)
-        out.n = self.n
-        out._w = self._w
-        out.xw = self.xw[b]
-        out.zw = self.zw[b]
-        out.r = self.r[b]
+        return self._tableau(self.xw[b], self.zw[b], self.r[b])
+
+    def candidate_probabilities(
+        self, bits: np.ndarray, support: Sequence[int]
+    ) -> np.ndarray:
+        """A ``(B, 2^k)`` candidate matrix, one scalar chain per trajectory."""
+        out = np.empty((self.batch, 2 ** len(support)))
+        for b in range(self.batch):
+            out[b] = self.view(b).candidate_probabilities(bits[b], support)
         return out
 
-    # -- batched Clifford column passes (broadcast over the batch axis) ----
-    def apply_h(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        diff = (xa ^ za) << b
-        self.xw[..., w] ^= diff
-        self.zw[..., w] ^= diff
-
-    def apply_s(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        self.zw[..., w] ^= xa << b
-
-    def apply_sdg(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & (za ^ _ONE)).astype(np.uint8)
-        self.zw[..., w] ^= xa << b
-
-    def apply_x(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.zw[..., w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_z(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.xw[..., w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_y(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa ^ za).astype(np.uint8)
-
-    def apply_cx(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("CNOT control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[..., wa] >> ba) & _ONE
-        za = (self.zw[..., wa] >> ba) & _ONE
-        xb = (self.xw[..., wb] >> bb) & _ONE
-        zb = (self.zw[..., wb] >> bb) & _ONE
-        self.r ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
-        self.xw[..., wb] ^= xa << bb
-        self.zw[..., wa] ^= zb << ba
-
-    def apply_cz(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("CZ control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[..., wa] >> ba) & _ONE
-        za = (self.zw[..., wa] >> ba) & _ONE
-        xb = (self.xw[..., wb] >> bb) & _ONE
-        zb = (self.zw[..., wb] >> bb) & _ONE
-        self.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-        self.zw[..., wa] ^= xb << ba
-        self.zw[..., wb] ^= xa << bb
-
-    def apply_swap(self, a: int, b: int) -> None:
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        for mat in (self.xw, self.zw):
-            ca = (mat[..., wa] >> ba) & _ONE
-            cb = (mat[..., wb] >> bb) & _ONE
-            diff = ca ^ cb
-            mat[..., wa] ^= diff << ba
-            mat[..., wb] ^= diff << bb
-
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """One cached ``(phase, primitives)`` decomposition, batch-wide."""
-        _, prims = seq  # global phase is not representable; dropped
-        dispatch = {
-            "H": self.apply_h,
-            "S": self.apply_s,
-            "SDG": self.apply_sdg,
-            "X": self.apply_x,
-            "Y": self.apply_y,
-            "Z": self.apply_z,
-            "CX": self.apply_cx,
-            "CZ": self.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown tableau primitive {name!r}") from None
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """A fused moment of disjoint single-qubit gates, batch-wide."""
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            for (_, prims), axis in zip(seqs, axes):
-                if layer < len(prims):
-                    self.apply_stabilizer_sequence(
-                        (None, [(prims[layer], (0,))]), [axis]
-                    )
+    def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
+        """Force each trajectory's ``support`` onto its own outcome row."""
+        for b in range(self.batch):
+            _project(self.view(b), support, outcomes[b])
 
 
-class CliffordTableauSimulationState(SimulationState):
+def _project(tableau: CliffordTableau, axes: Sequence[int], bits) -> None:
+    """Force ``axes`` onto ``bits``; a zero-probability outcome raises."""
+    for axis, bit in zip(axes, bits):
+        if tableau.project_measurement(axis, int(bit)) == 0.0:
+            raise ValueError(
+                f"Projection of qubit axis {axis} onto {int(bit)} has zero "
+                "probability"
+            )
+
+
+class CliffordTableauSimulationState(StabilizerSimulationState):
     """Aaronson-Gottesman tableau bound to a qubit register.
 
     A drop-in alternative to
     :class:`~repro.states.StabilizerChFormSimulationState` for pure
-    Clifford circuits.  Gates are routed through the same
-    ``_stabilizer_sequence_`` hook; global phases are discarded (the
-    tableau does not track them, and no probability depends on them).
+    Clifford circuits, through the same shared dispatch; global phases are
+    discarded (the tableau does not track them, and no probability
+    depends on them).
     """
 
-    def __init__(
-        self,
-        qubits: Sequence[Qid],
-        initial_state: int = 0,
-        seed: Union[int, np.random.Generator, None] = None,
-    ):
-        super().__init__(qubits, seed)
-        self.tableau = CliffordTableau(len(self.qubits), initial_state)
+    engine_type = CliffordTableau
 
-    # -- act_on ------------------------------------------------------------
-    def _act_on_(self, op: GateOperation) -> None:
-        axes = self.axes_of(op.qubits)
-        if op.is_measurement:
-            self.measure(axes)
-            return
-        seq = op._stabilizer_sequence_()
-        if seq is None:
-            raise ValueError(
-                f"Operation {op!r} is not a Clifford primitive; the tableau "
-                "state supports Clifford circuits only."
-            )
-        self.apply_stabilizer_sequence(seq, axes)
-
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
-        _, prims = seq  # global phase is not representable; intentionally dropped
-        t = self.tableau
-        dispatch = {
-            "H": t.apply_h,
-            "S": t.apply_s,
-            "SDG": t.apply_sdg,
-            "X": t.apply_x,
-            "Y": t.apply_y,
-            "Z": t.apply_z,
-            "CX": t.apply_cx,
-            "CZ": t.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown tableau primitive {name!r}") from None
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """Apply one single-qubit Clifford gate per (disjoint) axis, batched.
-
-        ``seqs[i]`` is ``(phase, [primitive, ...])`` — the gate on
-        ``axes[i]`` as a sequence of single-qubit primitives.  The gates
-        are layered (j-th primitive of every axis together) and each layer
-        runs as one :meth:`CliffordTableau.apply_single_qubit_layer` column
-        pass.  Global phases are not representable and are dropped, as in
-        :meth:`apply_stabilizer_sequence`.
-        """
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            names = []
-            cols = []
-            for (_, prims), axis in zip(seqs, axes):
-                if layer < len(prims):
-                    names.append(prims[layer])
-                    cols.append(axis)
-            self.tableau.apply_single_qubit_layer(names, cols)
-
-    # -- SimulationState interface ------------------------------------------
-    def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
-        raise ValueError(
-            "CliffordTableauSimulationState cannot apply raw unitaries; "
-            "gates must provide a stabilizer decomposition."
-        )
-
-    def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        raise ValueError(
-            "CliffordTableauSimulationState does not support channels; "
-            "Pauli channels can be expressed as stochastic Pauli gates."
-        )
-
-    def measure(self, axes: Sequence[int]) -> List[int]:
-        return [self.tableau.measure(axis, self._rng) for axis in axes]
+    @property
+    def tableau(self) -> CliffordTableau:
+        """The tableau engine (the same object as :attr:`engine`)."""
+        return self.engine
 
     def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
-        for axis, bit in zip(axes, bits):
-            if self.tableau.project_measurement(axis, int(bit)) == 0.0:
-                raise ValueError(
-                    f"Projection of qubit axis {axis} onto {bit} has zero "
-                    "probability"
-                )
-
-    # -- queries -------------------------------------------------------------
-    def probability_of(self, bits: Sequence[int]) -> float:
-        """Born probability of a full bitstring (see module note)."""
-        return self.tableau.probability_of(bits)
-
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities from one shared scratch chain."""
-        return self.tableau.candidate_probabilities(bits, support)
-
-    def candidate_probabilities_many(
-        self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
-    ) -> np.ndarray:
-        """Candidate probabilities for many tracked bitstrings at once,
-        sharing the off-support projection chain across common prefixes."""
-        return self.tableau.candidate_probabilities_many(bits_list, support)
+        _project(self.engine, axes, bits)
 
     def stabilizer_strings(self) -> List[str]:
         """The current stabilizer generators as signed Pauli strings."""
-        return self.tableau.stabilizer_strings()
-
-    def copy(self, seed=None) -> "CliffordTableauSimulationState":
-        out = type(self).__new__(type(self))  # preserve subclasses
-        SimulationState.__init__(out, self.qubits, seed)
-        out.tableau = self.tableau.copy()
-        return out
-
-    def __repr__(self) -> str:
-        return f"CliffordTableauSimulationState(num_qubits={self.num_qubits})"
+        return self.engine.stabilizer_strings()
 
 
 def snapshot_tableau_state(state: CliffordTableauSimulationState) -> Tuple:
@@ -911,7 +735,7 @@ def snapshot_tableau_state(state: CliffordTableauSimulationState) -> Tuple:
     Restored states get a fresh RNG; the sampler's determinism never
     depends on the initial state's own generator (copies are re-seeded).
     """
-    return ("clifford_tableau", tuple(state.qubits)) + state.tableau.to_words()
+    return ("clifford_tableau", tuple(state.qubits)) + state.engine.to_words()
 
 
 def restore_tableau_state(payload: Tuple) -> CliffordTableauSimulationState:
@@ -921,5 +745,5 @@ def restore_tableau_state(payload: Tuple) -> CliffordTableauSimulationState:
         raise ValueError(f"Not a tableau snapshot payload: {tag!r}")
     state = CliffordTableauSimulationState.__new__(CliffordTableauSimulationState)
     SimulationState.__init__(state, qubits, None)
-    state.tableau = CliffordTableau.from_words(n, x_bytes, z_bytes, r_bytes)
+    state.engine = CliffordTableau.from_words(n, x_bytes, z_bytes, r_bytes)
     return state

@@ -14,7 +14,10 @@ from repro.sampler.near_clifford import (
     rotation_branch_weights,
     stabilizer_extent_rz,
 )
-from repro.states import StabilizerChFormSimulationState
+from repro.states import (
+    CliffordTableauSimulationState,
+    StabilizerChFormSimulationState,
+)
 
 
 class TestBranchWeights:
@@ -77,6 +80,18 @@ class TestActOnNearClifford:
             vec = np.round(state.state_vector(), 6)
             seen.add(tuple(vec.tolist()))
         assert len(seen) == 2  # exactly the I and S branches
+
+    def test_t_gate_branches_on_tableau(self):
+        """The tableau backend takes the same two branches: T on |+>
+        leaves the stabilizer +X (I branch) or +Y (S branch)."""
+        qs = cirq.LineQubit.range(1)
+        seen = set()
+        for seed in range(50):
+            state = CliffordTableauSimulationState(qs, seed=seed)
+            act_on_near_clifford(cirq.H(qs[0]), state)
+            act_on_near_clifford(cirq.T(qs[0]), state)
+            seen.update(state.stabilizer_strings())
+        assert seen == {"+X", "+Y"}
 
     def test_branch_frequencies_follow_weights(self):
         theta = math.pi / 4  # T gate

@@ -13,6 +13,7 @@ from repro.circuits import channels
 from repro.protocols import act_on
 from repro.sampler import (
     Simulator,
+    act_on_near_clifford,
     act_on_near_clifford_with_pauli_noise,
     act_on_with_pauli_noise,
 )
@@ -162,6 +163,9 @@ class TestDenseStateFallback:
 
 
 class TestNoisyNearClifford:
+    state_cls = StabilizerChFormSimulationState
+    compute = staticmethod(born.compute_probability_stabilizer_state)
+
     def test_noisy_t_circuit_runs_and_is_close(self):
         """Clifford+T with depolarizing noise through the full stack."""
         n = 2
@@ -175,9 +179,9 @@ class TestNoisyNearClifford:
         )
         exact = exact_diagonal(circuit, qubits)
         sim = Simulator(
-            initial_state=StabilizerChFormSimulationState(qubits),
+            initial_state=self.state_cls(qubits),
             apply_op=act_on_near_clifford_with_pauli_noise,
-            compute_probability=born.compute_probability_stabilizer_state,
+            compute_probability=self.compute,
             seed=8,
         )
         reps = 6000
@@ -195,9 +199,9 @@ class TestNoisyNearClifford:
             cirq.measure(*qubits, key="z"),
         )
         sim = Simulator(
-            initial_state=StabilizerChFormSimulationState(qubits),
+            initial_state=self.state_cls(qubits),
             apply_op=act_on_near_clifford_with_pauli_noise,
-            compute_probability=born.compute_probability_stabilizer_state,
+            compute_probability=self.compute,
             seed=9,
         )
         rows = {
@@ -205,3 +209,41 @@ class TestNoisyNearClifford:
             for r in sim.run(circuit, repetitions=300).measurements["z"]
         }
         assert rows == {(0, 0), (1, 1)}
+
+
+class TestNoisyNearCliffordTableau(TestNoisyNearClifford):
+    """The same near-Clifford checks on the tableau backend."""
+
+    state_cls = CliffordTableauSimulationState
+    compute = staticmethod(born.compute_probability_tableau)
+
+
+@pytest.mark.parametrize(
+    "apply_op",
+    [act_on_near_clifford, act_on_near_clifford_with_pauli_noise],
+    ids=["near_clifford", "near_clifford_with_pauli_noise"],
+)
+def test_tableau_samples_equal_ch_form(apply_op):
+    """Both entry points draw the same branches on either backend, so a
+    Clifford+T circuit samples the same bitstrings bit-for-bit."""
+    qubits = cirq.LineQubit.range(3)
+    circuit = cirq.Circuit(
+        cirq.H.on(qubits[0]),
+        cirq.T.on(qubits[0]),
+        cirq.CNOT.on(qubits[0], qubits[1]),
+        cirq.H.on(qubits[2]),
+        cirq.T.on(qubits[2]),
+        cirq.CZ.on(qubits[1], qubits[2]),
+        cirq.H.on(qubits[1]),
+        cirq.measure(*qubits, key="z"),
+    )
+    samples = [
+        Simulator(state_cls(qubits), apply_op, compute, seed=7)
+        .run(circuit, repetitions=300)
+        .measurements["z"]
+        for state_cls, compute in (
+            (StabilizerChFormSimulationState, born.compute_probability_stabilizer_state),
+            (CliffordTableauSimulationState, born.compute_probability_tableau),
+        )
+    ]
+    np.testing.assert_array_equal(samples[0], samples[1])

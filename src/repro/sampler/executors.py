@@ -28,7 +28,11 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   ``reuse_pool=True`` (default) keeps the pool warm in a
   :class:`~repro.sampler.service.PoolManager` across calls;
   ``reuse_pool=False`` runs the same path on a scoped manager shut down
-  when the call ends.
+  when the call ends.  The pool is sized to the CPUs this process may
+  use (its affinity set, :func:`~repro.sampler.worker_threads.usable_cpus`)
+  unless ``num_workers`` says otherwise, and each worker caps its BLAS
+  threads at its share of them, so a default-sized pool runs one
+  compute thread per usable CPU.
 
 Seeding is deterministic and independent of placement: with an integer
 simulator seed, repetition chunk ``i`` always receives
@@ -49,7 +53,6 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
-import os
 import pickle
 from concurrent import futures as _cf
 from typing import Callable, Dict, List, Optional, Tuple
@@ -82,6 +85,7 @@ from .service import (
     execution_key,
     shared_pool_manager,
 )
+from .worker_threads import usable_cpus
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +186,8 @@ class ProcessPoolExecutor(Executor):
     """Fan repetition chunks or whole sweep/batch points over a pool.
 
     Args:
-        num_workers: Pool size; defaults to ``os.cpu_count()``.
+        num_workers: Pool size; defaults to the CPUs this process may
+            use (:func:`~repro.sampler.worker_threads.usable_cpus`).
         chunks_per_worker: >1 gives smaller repetition-scope tasks
             (better load balance).
         start_method: ``"fork"``, ``"forkserver"``, or ``"spawn"``.  An
@@ -269,7 +274,7 @@ class ProcessPoolExecutor(Executor):
         result_transport: str = "auto",
         task_timeout: Optional[float] = None,
     ):
-        self.num_workers = max(1, int(num_workers or (os.cpu_count() or 1)))
+        self.num_workers = max(1, int(num_workers or usable_cpus()))
         self.chunks_per_worker = max(1, int(chunks_per_worker))
         if start_method == "auto":
             available = multiprocessing.get_all_start_methods()

@@ -32,6 +32,15 @@ the lifecycle and dispatch layer under
   seed or a batch task's ``[base, point(, chunk)]`` — and either
   written into a shared-memory result-plane slot or returned as
   ``(records, bits)``.
+* Every worker gets a native-thread budget of ``max(1, usable_cpus //
+  num_workers)`` (:mod:`~repro.sampler.worker_threads`), applied by the
+  pool initializer :func:`_init_pool_worker` before the worker runs any
+  task: it lowers, never raises, the thread count of each OpenBLAS
+  library loaded in the worker.  Left at OpenBLAS's default of one
+  thread per core, a 2-worker pool on 2 cores ran 4 BLAS threads beside
+  its 2 Python threads and ran slower than the in-process run.  The budget
+  follows from ``num_workers``, which the pool key already holds; the
+  parent's own BLAS setting is never touched.
 * :func:`shared_pool_manager` is the default process-wide manager used by
   ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
   at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
@@ -82,6 +91,7 @@ import numpy as np
 
 from ..states.registry import capabilities_for
 from .result_planes import SlotDescriptor, write_chunk_to_slot
+from .worker_threads import limit_blas_threads, worker_thread_budget
 
 RunParts = Tuple[Dict[str, np.ndarray], np.ndarray]
 
@@ -320,9 +330,14 @@ _WORKER: Optional[Tuple[object, Tuple]] = None
 _WORKER_QUEUES: Optional[Tuple[object, object]] = None
 
 
-def _init_pool_worker(payload: _WorkerPayload, queues=None) -> None:
-    """Pool initializer: build the worker-local simulator + unit table."""
+def _init_pool_worker(
+    payload: _WorkerPayload, queues: Tuple[object, object], threads: int
+) -> None:
+    """Pool initializer: cap the worker's BLAS threads at its ``threads``
+    budget (:func:`~repro.sampler.worker_threads.worker_thread_budget`),
+    then build the worker-local simulator + unit table."""
     global _WORKER, _WORKER_QUEUES
+    limit_blas_threads(threads)
     _WORKER = (payload.build_simulator(), payload.programs)
     _WORKER_QUEUES = queues
 
@@ -861,7 +876,9 @@ class PoolManager:
             max_workers=num_workers,
             mp_context=ctx,
             initializer=_init_pool_worker,
-            initargs=(payload, self._queues),
+            initargs=(
+                payload, self._queues, worker_thread_budget(num_workers)
+            ),
         )
         # The payload ref keeps every id()-keyed object (plan, every
         # Program of the table, initial state) alive while the key is

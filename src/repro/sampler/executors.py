@@ -199,8 +199,10 @@ class ProcessPoolExecutor(Executor):
             only ``spawn``), so default-configured executors work on
             every platform.  With ``fork`` the shared unit table and
             packed state are inherited copy-on-write; with
-            ``forkserver``/``spawn`` they are pickled once per worker by
-            the initializer.
+            ``forkserver``/``spawn`` they are pickled once per pool and
+            every worker's initializer unpickles the same bytes.  The
+            forkserver is started with this package preloaded, so its
+            workers inherit the import instead of repeating it.
         reuse_pool: True (default) keeps the pool **warm** through a
             :class:`~repro.sampler.service.PoolManager`: consecutive
             calls with an unchanged execution key dispatch straight to
@@ -599,7 +601,7 @@ def run_factory_chunks(
     :func:`repro.sampler.parallel.sample_trajectories_parallel` API (whose
     factories may close over unpicklable pieces and rely on ``fork``);
     new code should prefer :class:`ProcessPoolExecutor`, which ships the
-    compiled plan and packed state once per worker instead of per task.
+    compiled plan and packed state once per pool instead of per task.
     """
     if num_workers == 1 or len(sizes) == 1:
         return [

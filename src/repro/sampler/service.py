@@ -41,6 +41,12 @@ the lifecycle and dispatch layer under
   its 2 Python threads and ran slower than the in-process run.  The budget
   follows from ``num_workers``, which the pool key already holds; the
   parent's own BLAS setting is never touched.
+* A new pool starts cheaply under ``forkserver``:
+  :func:`_pool_context` starts the forkserver with this package
+  preloaded, so every worker forks from a process that has already
+  imported it, and :meth:`PoolManager._ensure` pickles the worker
+  payload once per pool instead of once per worker.  Neither changes
+  when a pool is rebuilt.
 * :func:`shared_pool_manager` is the default process-wide manager used by
   ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
   at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
@@ -72,10 +78,12 @@ import multiprocessing
 import os
 import pickle
 import queue as _queue
+import sys
 import threading
 import time
 import weakref
 from concurrent import futures as _cf
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     Callable,
     Dict,
@@ -94,6 +102,10 @@ from .result_planes import SlotDescriptor, write_chunk_to_slot
 from .worker_threads import limit_blas_threads, worker_thread_budget
 
 RunParts = Tuple[Dict[str, np.ndarray], np.ndarray]
+
+# The pid of the process that imported this module: a forkserver worker
+# whose pid differs inherited the package from the preloaded server.
+_IMPORT_PID = os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -199,8 +211,6 @@ def _main_is_importable() -> bool:
     path; interactive sessions and stdin scripts have none (or a
     placeholder like ``<stdin>``), which kills the worker at startup.
     """
-    import sys
-
     main = sys.modules.get("__main__")
     path = getattr(main, "__file__", None)
     return path is not None and os.path.exists(path)
@@ -231,12 +241,54 @@ def _pool_context(start_method: Optional[str]):
         and "fork" in available
         and not _main_is_importable()
     ):
-        return multiprocessing.get_context("fork")
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
-    if "fork" in available:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+        ctx = multiprocessing.get_context("fork")
+    elif start_method is not None:
+        ctx = multiprocessing.get_context(start_method)
+    elif "fork" in available:
+        ctx = multiprocessing.get_context("fork")
+    else:
+        ctx = multiprocessing.get_context()
+    if ctx.get_start_method() == "forkserver":
+        _start_preloaded_forkserver()
+    return ctx
+
+
+# Serializes the scoped PYTHONPATH export of _start_preloaded_forkserver.
+_FORKSERVER_LOCK = threading.Lock()
+
+
+def _start_preloaded_forkserver() -> None:
+    """Make sure the forkserver runs, with this package preloaded.
+
+    A forkserver worker forks from the server process, so whatever the
+    server has imported the worker inherits instead of importing it
+    again, SciPy included.  The package is *added* to the server's preload list.  The server's
+    ``main()`` ignores the ``sys_path`` it is handed, so the package
+    root reaches it on ``PYTHONPATH``, exported for the server start
+    only and restored afterwards.  A server that is already running —
+    started by user code, say — is reused as it is, never restarted.
+    """
+    from multiprocessing import forkserver
+
+    package = __name__.split(".")[0]
+    root = os.path.dirname(os.path.abspath(sys.modules[package].__path__[0]))
+    with _FORKSERVER_LOCK:
+        preload = list(
+            getattr(forkserver._forkserver, "_preload_modules", ["__main__"])
+        )
+        if package not in preload:
+            forkserver.set_forkserver_preload(preload + [package])
+        saved = os.environ.get("PYTHONPATH")
+        entries = [p for p in (saved or "").split(os.pathsep) if p]
+        if root not in (os.path.abspath(p) for p in entries):
+            os.environ["PYTHONPATH"] = os.pathsep.join(entries + [root])
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                os.environ.pop("PYTHONPATH", None)
+            else:
+                os.environ["PYTHONPATH"] = saved
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +296,17 @@ def _pool_context(start_method: Optional[str]):
 # ----------------------------------------------------------------------
 
 class _WorkerPayload:
-    """Everything a pool worker needs, shipped once per worker.
+    """Everything a pool worker needs, shipped once per pool.
 
     The initial state travels as its registry ``snapshot`` payload when
     the backend declares one *for exactly this type* (restored via the
     matching ``restore`` hook; a subclass inheriting its parent's
     descriptor falls back to object pickling so the worker state keeps
-    the subclass type), else as the state object itself; either way it is
-    pickled once per *worker* by the pool initializer — never per task.
+    the subclass type), else as the state object itself.  Under
+    ``forkserver``/``spawn`` the whole payload is pickled once per *pool*
+    (:meth:`PoolManager._ensure`) and every worker's initializer
+    unpickles the same bytes; under ``fork`` it is inherited and never
+    pickled.  Never per task.
     ``programs`` is the worker's *unit table*: the compiled Programs of a
     whole (possibly heterogeneous) batch — a sweep is a one-entry table —
     or, for a repetition-scope run, the one specialized ``plan``.  Tasks
@@ -331,13 +386,18 @@ _WORKER_QUEUES: Optional[Tuple[object, object]] = None
 
 
 def _init_pool_worker(
-    payload: _WorkerPayload, queues: Tuple[object, object], threads: int
+    payload: Union[_WorkerPayload, bytes],
+    queues: Tuple[object, object],
+    threads: int,
 ) -> None:
     """Pool initializer: cap the worker's BLAS threads at its ``threads``
     budget (:func:`~repro.sampler.worker_threads.worker_thread_budget`),
-    then build the worker-local simulator + unit table."""
+    then build the worker-local simulator + unit table from the payload
+    (pickled ``bytes`` unless the worker was forked)."""
     global _WORKER, _WORKER_QUEUES
     limit_blas_threads(threads)
+    if isinstance(payload, bytes):
+        payload = pickle.loads(payload)
     _WORKER = (payload.build_simulator(), payload.programs)
     _WORKER_QUEUES = queues
 
@@ -869,6 +929,14 @@ class PoolManager:
                 self.shutdown()
         payload = payload_factory()
         ctx = _pool_context(start_method)
+        # Start methods that pickle the initargs would pickle the payload
+        # once per worker, each time inside the parent's pool.submit:
+        # pickle it once here and hand every worker the same bytes.
+        shipped = (
+            payload
+            if ctx.get_start_method() == "fork"
+            else bytes(ForkingPickler.dumps(payload))
+        )
         # Work queues are born with the pool (same mp context, shipped
         # through the initializer — the one channel Queues may travel).
         self._queues = (ctx.Queue(), ctx.Queue())
@@ -877,7 +945,7 @@ class PoolManager:
             mp_context=ctx,
             initializer=_init_pool_worker,
             initargs=(
-                payload, self._queues, worker_thread_budget(num_workers)
+                shipped, self._queues, worker_thread_budget(num_workers)
             ),
         )
         # The payload ref keeps every id()-keyed object (plan, every
